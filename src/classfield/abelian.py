@@ -6,9 +6,11 @@ coordinates list the torsion generators first, then the free generators,
 so a coordinate vector for ``FgAbGroup(r, (f1, ..., ft))`` has ``t + r``
 entries and entry ``i < t`` is reduced modulo ``f_i``.
 
-All the lattice machinery (kernels, preimages, intersections, integer
-solving) runs over plain Python integers, so there is no overflow and no
-floating point anywhere.
+Kernels, preimages, presentations and integer solving go through a
+witnessed Smith normal form.  Subgroup membership, equality and
+intersection instead compare the canonical Hermite normal form of the
+subgroup's preimage lattice in Z^rank (``_hnf_key``).  Everything runs
+over plain Python integers, so there is no overflow and no floating point.
 """
 
 from __future__ import annotations
@@ -213,10 +215,7 @@ def solve_integer(m: Matrix, b: list[int], cols: int | None = None) -> list[int]
 
 def columns(mats: list[list[int]]) -> Matrix:
     """Assemble column vectors into a matrix (all the same length)."""
-    if not mats:
-        return []
-    k = len(mats[0])
-    return [[col[i] for col in mats] for i in range(k)]
+    return [[col[i] for col in mats] for i in range(len(mats[0]))] if mats else []
 
 
 def lattice_preimage(m: Matrix, target_cols: list[list[int]],
@@ -382,15 +381,6 @@ class AbHom:
             for i in range(rows))
         return AbHom(other.domain, self.codomain, m)
 
-    def __eq__(self, other):
-        if not isinstance(other, AbHom):
-            return NotImplemented
-        return (self.domain == other.domain and self.codomain == other.codomain
-                and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix))
-
     def add(self, other: "AbHom") -> "AbHom":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("sum of homs needs equal (co)domains")
@@ -450,32 +440,20 @@ def presentation_from_lattice(k: int, rel_cols: list[list[int]]):
     normal-form coordinates and ``from_new`` holds, per new generator, an
     old-coordinate representative.
     """
-    if not rel_cols:
-        snf = SmithDecomposition([], identity_matrix(k), [], identity_matrix(k), [])
-        diag = []
-    else:
-        snf = smith_decompose(columns(rel_cols))
-        diag = snf.diagonal
-    kept = []  # (old row index, modulus) with modulus 0 for free rows
-    for i in range(k):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        kept.append((i, d))
+    snf = (smith_decompose(columns(rel_cols)) if rel_cols else
+           SmithDecomposition([], identity_matrix(k), [], identity_matrix(k), []))
+    diag = snf.diagonal + [0] * (k - len(snf.diagonal))  # 0 marks a free row
     # torsion rows first (snf order is already divisibility-ascending)
-    torsion = [(i, d) for i, d in kept if d != 0]
-    free = [(i, d) for i, d in kept if d == 0]
+    torsion = [(i, d) for i, d in enumerate(diag) if d > 1]
+    free = [(i, d) for i, d in enumerate(diag) if d == 0]
     ordered = torsion + free
     group = FgAbGroup(len(free), tuple(d for _, d in torsion))
-    u = snf.left
-    u_inv = snf.left_inv
-
-    rows = [u[i] for i, _ in ordered]
+    rows = [snf.left[i] for i, _ in ordered]
 
     def to_new(vector):
         return group.reduce(mat_vec(rows, list(vector)))
 
-    from_new = [[u_inv[r][i] for r in range(k)] for i, _ in ordered]
+    from_new = [[snf.left_inv[r][i] for r in range(k)] for i, _ in ordered]
     return group, to_new, from_new
 
 
@@ -565,45 +543,68 @@ def element_preimage(h: AbHom, y) -> tuple[int, ...] | None:
     return h.domain.reduce(x[: h.domain.rank])
 
 
+def _hnf_key(moduli, rows) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of ``rows`` plus ``m * e_i`` per modulus m.
+
+    Echelon rows, positive pivots, entries above a pivot in ``[0, pivot)``:
+    two row sets span the same lattice exactly when their keys are equal
+    (Cohen, GTM 138, section 2.4).  A modulus 0 marks a free coordinate.
+    The relation row ``m * e_c`` is untouched until column ``c``, so rows
+    are reduced modulo the moduli throughout and entries stay small.
+    """
+    def red(row):
+        return [v % m if m else v for v, m in zip(row, moduli, strict=True)]
+
+    pending = [list(r) for r in {tuple(red(r)) for r in rows} if any(r)]
+    basis = []
+    for c, f in enumerate(moduli):
+        pivot = [f if i == c else 0 for i in range(len(moduli))]
+        rest = []
+        for r in pending:
+            while r[c]:  # Euclid on column c, by unimodular row steps
+                q = pivot[c] // r[c]
+                pivot, r = r, red([u - q * v for u, v in zip(pivot, r)])
+            if any(r):
+                rest.append(r)
+        pending = rest
+        if pivot[c]:
+            basis.append((c, pivot if pivot[c] > 0 else [-v for v in pivot]))
+    for i, (c, p) in enumerate(basis):
+        for _, h in basis[:i]:
+            q = h[c] // p[c]
+            if q:
+                h[:] = [u - q * v for u, v in zip(h, p)]
+    return tuple(tuple(p) for _, p in basis)
+
+
 def subgroup_contains(ambient: FgAbGroup, gens: list, x) -> bool:
     """Is x in the subgroup of ambient generated by gens?"""
-    if not gens:
-        return all(v == 0 for v in ambient.reduce(x))
-    w = columns([list(ambient.reduce(g)) for g in gens])
-    rel = ambient.relation_columns()
-    stacked = [w[i] + [rel[j][i] for j in range(len(rel))] for i in range(len(w))]
-    return solve_integer(stacked, list(ambient.reduce(x)),
-                         cols=len(gens) + len(rel)) is not None
+    x = list(ambient.reduce(x))
+    for row in _hnf_key(ambient.moduli, gens):
+        c = next(i for i, v in enumerate(row) if v)
+        q = x[c] // row[c]  # a remainder survives to the final check
+        if q:
+            x = [u - q * v for u, v in zip(x, row)]
+    return not any(x)
 
 
 def subgroups_equal(ambient: FgAbGroup, gens_a: list, gens_b: list) -> bool:
-    return (all(subgroup_contains(ambient, gens_b, g) for g in gens_a)
-            and all(subgroup_contains(ambient, gens_a, g) for g in gens_b))
+    return _hnf_key(ambient.moduli, gens_a) == _hnf_key(ambient.moduli, gens_b)
 
 
 def subgroup_intersection(ambient: FgAbGroup, gens_a: list, gens_b: list) -> list:
-    """Generators of the intersection of two subgroups of ``ambient``."""
-    rel = ambient.relation_columns()
-    a = [list(ambient.reduce(g)) for g in gens_a]
-    b = [list(ambient.reduce(g)) for g in gens_b]
-    wa = columns(a + rel)
-    wb = columns(b + rel)
-    if not a and not rel:
-        return []
-    na = len(a) + len(rel)
+    """Generators of the intersection of two subgroups of ``ambient``.
+
+    The rows ``[a | a]`` and ``[b | 0]`` plus the relations in both halves
+    span ``{(u + v, u) : u in A, v in B}``.  Its echelon rows that vanish on
+    the first half span the vectors ``(0, u)`` with ``u`` in both A and B.
+    """
     k = ambient.rank
-    if not wa:
-        wa = [[] for _ in range(k)]
-    if not wb:
-        wb = [[] for _ in range(k)]
-    stacked = [wa[i] + [-v for v in wb[i]] for i in range(k)]
-    ker = kernel_basis(stacked, cols=na + len(b) + len(rel))
-    out = []
-    for vec in ker:
-        y = vec[:na]
-        x = ambient.reduce(mat_vec(wa, y)) if na else ambient.zero()
-        out.append(list(x))
-    return out
+    stacked = ([list(g) + list(g) for g in gens_a]
+               + [list(g) + [0] * k for g in gens_b])
+    key = _hnf_key(ambient.moduli * 2, stacked)
+    out = [ambient.reduce(row[k:]) for row in key if not any(row[:k])]
+    return [list(x) for x in out if any(x)]
 
 
 def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, AbHom]:
@@ -613,7 +614,6 @@ def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, A
         s = FgAbGroup(ambient.free_rank, ambient.invariant_factors)
         return s, AbHom.identity(ambient)
     stacked: Matrix = []
-    rel_blocks: list[list[int]] = []
     rel = ambient.relation_columns()
     n = len(endos)
     for idx, e in enumerate(endos):
@@ -623,13 +623,8 @@ def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, A
             row = [e.matrix[i][j] - (1 if i == j else 0) for j in range(k)]
             stacked.append(row)
     # x fixed iff (e - 1)x lies in the relation lattice, blockwise
-    block_rels = []
-    for b in range(n):
-        for col in rel:
-            padded = [0] * (k * n)
-            for i in range(k):
-                padded[b * k + i] = col[i]
-            block_rels.append(padded)
+    block_rels = [[0] * (b * k) + col + [0] * ((n - 1 - b) * k)
+                  for b in range(n) for col in rel]
     pre = lattice_preimage(stacked, block_rels, cols=k)
     return subgroup_from_generators(ambient, pre)
 

@@ -4,9 +4,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from classfield.abelian import (
-    AbHom, FgAbGroup, group_order, hom_cokernel, hom_image, hom_kernel,
+    _hnf_key, AbHom, FgAbGroup, group_order, hom_cokernel, hom_image, hom_kernel,
     invert_isomorphism, is_isomorphism, mat_mul, quotient, smith_decompose,
     solve_integer, subgroup_contains, subgroup_elements,
     subgroup_from_generators, subgroup_intersection, subgroups_equal,
@@ -192,3 +194,118 @@ class TestSubgroups:
         Z = FgAbGroup(1)
         cok, _ = hom_cokernel(AbHom(Z, Z, ((5,),)))
         assert cok == FgAbGroup(0, (5,))
+
+
+@st.composite
+def ab_groups(draw, finite=False):
+    """Small groups in normal form: up to three invariant factors, free rank <= 2."""
+    factors = []
+    for _ in range(draw(st.integers(1 if finite else 0, 3))):
+        factors.append(factors[-1] * draw(st.sampled_from([1, 2]))
+                       if factors else draw(st.sampled_from([2, 3, 4])))
+    return FgAbGroup(0 if finite else draw(st.integers(0, 2)), tuple(factors))
+
+
+def draw_vectors(data, group, n_max):
+    vec = st.lists(st.integers(-6, 6), min_size=group.rank, max_size=group.rank)
+    return data.draw(st.lists(vec, max_size=n_max))
+
+
+def snf_contains(group, gens, x):
+    """Membership by the Smith normal form path: solve [gens | relations] y = x."""
+    cols = [group.reduce(g) for g in gens] + group.relation_columns()
+    if not cols:
+        return not any(x)
+    m = [[col[i] for col in cols] for i in range(group.rank)]
+    return solve_integer(m, list(group.reduce(x)), cols=len(cols)) is not None
+
+
+def combination(data, group, gens):
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                max_size=len(gens)))
+    return [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(group.rank)]
+
+
+class TestHermiteKey:
+    """The HNF key behind subgroup membership, equality and intersection."""
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_key_is_echelon_and_reduced(self, group, data):
+        key = _hnf_key(group.moduli, draw_vectors(data, group, 4))
+        pivots = [next(i for i, v in enumerate(row) if v) for row in key]
+        assert pivots == sorted(set(pivots))
+        for i, (c, row) in enumerate(zip(pivots, key)):
+            assert row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in key[:i])
+        # every torsion coordinate carries a pivot: its relation is in the lattice
+        assert set(range(len(group.invariant_factors))) <= set(pivots)
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_membership_matches_snf_and_enumeration(self, group, data):
+        gens = draw_vectors(data, group, 4)
+        vec = st.lists(st.integers(-12, 12), min_size=group.rank, max_size=group.rank)
+        for x in [data.draw(vec), combination(data, group, gens)]:
+            got = subgroup_contains(group, gens, x)
+            assert got == snf_contains(group, gens, x)
+            if group.is_finite():
+                assert got == (group.reduce(x) in subgroup_elements(group, gens))
+        assert subgroup_contains(group, gens, combination(data, group, gens))
+
+    @given(ab_groups(finite=True), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_key_equality_matches_element_sets(self, group, data):
+        gens_a = draw_vectors(data, group, 3)
+        if data.draw(st.booleans()):
+            gens_b = [combination(data, group, gens_a) for _ in range(3)]
+        else:
+            gens_b = draw_vectors(data, group, 3)
+        same = subgroup_elements(group, gens_a) == subgroup_elements(group, gens_b)
+        assert subgroups_equal(group, gens_a, gens_b) == same
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_key_spans_the_sympy_hnf_lattice(self, group, data):
+        gens = draw_vectors(data, group, 4)
+        key = _hnf_key(group.moduli, gens)
+        cols = gens + group.relation_columns()
+        if not cols:
+            assert key == ()
+            return
+        hnf = hermite_normal_form(Matrix(group.rank, len(cols),
+                                         lambda i, j: cols[j][i]))
+        hnf_cols = [[int(v) for v in hnf.col(j)] for j in range(hnf.cols)]
+        assert len(key) == len(hnf_cols)  # both are bases of one lattice
+        free = FgAbGroup(group.rank)
+        for v in hnf_cols:
+            assert snf_contains(free, [list(r) for r in key], v)
+        for row in key:
+            assert snf_contains(free, hnf_cols, list(row))
+        assert _hnf_key(free.moduli, hnf_cols) == key
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_key_ignores_order_and_redundant_generators(self, group, data):
+        gens = draw_vectors(data, group, 4)
+        key = _hnf_key(group.moduli, gens)
+        shuffled = data.draw(st.permutations(gens))
+        assert _hnf_key(group.moduli, shuffled) == key
+        extra = [combination(data, group, gens), [0] * group.rank]
+        extra += [[g + f * data.draw(st.integers(-2, 2)) for g, f in
+                   zip(gens[0], group.moduli)]] if gens else []
+        assert _hnf_key(group.moduli, shuffled + extra) == key
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_matches_enumeration(self, group, data):
+        gens_a = draw_vectors(data, group, 3)
+        gens_b = draw_vectors(data, group, 3)
+        inter = subgroup_intersection(group, gens_a, gens_b)
+        if group.is_finite():
+            assert subgroup_elements(group, inter) == (
+                subgroup_elements(group, gens_a) & subgroup_elements(group, gens_b))
+        for g in inter:
+            assert snf_contains(group, gens_a, g) and snf_contains(group, gens_b, g)
+        y = combination(data, group, gens_a)
+        assert subgroup_contains(group, inter, y) == snf_contains(group, gens_b, y)

@@ -473,6 +473,29 @@ class TestLattice:
         rep = lattice_property_check(assignment, spec, rsys)
         assert not rep.passed
 
+    # Planted defects: (group, H, point whose subgroup is replaced, the point
+    # it is copied from, expected first failure with its witness).
+    V4, C2C4 = direct_product(cyclic(2), cyclic(2)), direct_product(cyclic(2), cyclic(4))
+    G4, G8 = (0, 1, 2, 3), tuple(range(8))
+
+    @pytest.mark.parametrize("group,hkey,target,source,expected", [
+        # shrink the product point <a><b> = G down to <a>
+        (V4, G4, G4, (0, 1), ("product_law", (G4, (0, 1), (0, 2)))),
+        (C2C4, G8, G8, G4, ("product_law", (G8, G4, (0, 2, 4, 6)))),
+        # make two R-lattice entries equal
+        (cyclic(4), G4, (0, 2), (0,), ("r_lattice_injective", (G4, (0,), (0, 2)))),
+        (C2C4, G4, (0, 2), (0,), ("r_lattice_injective", (G4, (0,), (0, 2)))),
+    ])
+    def test_planted_defect_witness(self, group, hkey, target, source, expected):
+        sys = full_system(group)
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        assignment = tautological_assignment(tautological_cft(spec, rsys))
+        assert lattice_property_check(assignment, spec, rsys).passed
+        assignment.subgroups[(hkey, target)] = list(assignment.subgroups[(hkey, source)])
+        failure = lattice_property_check(assignment, spec, rsys).first_failure()
+        assert (failure.name, failure.witness) == expected
+
 
 class TestReducedVerification:
     def test_identity_on_tautological(self):
