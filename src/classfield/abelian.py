@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
+from operator import add as _add, mul as _mul
 
 Matrix = list[list[int]]
 
@@ -31,20 +32,21 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
+    if a and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
+    return _matmul(a, b, len(b[0]) if b else 0)
+
+
+def _matmul(a, b, ncols: int) -> Matrix:
+    """``a @ b`` without shape checks.
+
+    ``ncols`` is the width of ``b``, passed because a matrix with no rows
+    does not carry it.
+    """
+    if not b:
+        return [[0] * ncols for _ in a]
+    cols = list(zip(*b))
+    return [[sum(map(_mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v) -> list[int]:
@@ -325,7 +327,10 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FgAbGroup":
-        return cls(data["free_rank"], tuple(data.get("invariant_factors", ())))
+        factors = tuple(data.get("invariant_factors", ()))
+        if any(type(v) is not int for v in (data["free_rank"], *factors)):
+            raise ValueError("free rank and invariant factors must be integers")
+        return cls(data["free_rank"], factors)
 
 
 def group_order(a: FgAbGroup) -> int | float:
@@ -370,23 +375,34 @@ class AbHom:
         vector = self.domain.reduce(vector)
         return self.codomain.reduce(mat_vec([list(r) for r in self.matrix], list(vector)))
 
+    @classmethod
+    def _trusted(cls, domain: FgAbGroup, codomain: FgAbGroup, rows) -> "AbHom":
+        """Build a product or sum of well-defined maps, which is well defined.
+
+        Rows are reduced modulo the codomain as in ``__post_init__``, whose
+        shape and torsion checks are skipped.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "domain", domain)
+        object.__setattr__(h, "codomain", codomain)
+        object.__setattr__(h, "matrix", tuple(
+            tuple(v % cm for v in row) if cm else tuple(row)
+            for row, cm in zip(rows, codomain.moduli)))
+        return h
+
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition mismatch")
-        rows, inner, cols = self.codomain.rank, self.domain.rank, other.domain.rank
-        m = tuple(
-            tuple(sum(self.matrix[i][k] * other.matrix[k][j]
-                      for k in range(inner)) for j in range(cols))
-            for i in range(rows))
-        return AbHom(other.domain, self.codomain, m)
+        return AbHom._trusted(other.domain, self.codomain,
+                              _matmul(self.matrix, other.matrix, other.domain.rank))
 
     def add(self, other: "AbHom") -> "AbHom":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("sum of homs needs equal (co)domains")
-        m = tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.matrix, other.matrix))
-        return AbHom(self.domain, self.codomain, m)
+        return AbHom._trusted(self.domain, self.codomain,
+                              (map(_add, ra, rb) for ra, rb in
+                               zip(self.matrix, other.matrix)))
 
     def scaled(self, n: int) -> "AbHom":
         return AbHom(self.domain, self.codomain,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .abelian import AbHom, FgAbGroup, group_order
+from .abelian import AbHom, FgAbGroup
 from .catalog import catalog
 from .cft import (
     Report, Spectrum, ValuationFamily, certify_upsilon_tilde_multiplicative,
@@ -40,7 +40,7 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -48,27 +48,59 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return data
+
+
+def _block(data: dict, key: str) -> dict:
+    if key not in data:
+        raise InputError(f"scenario needs a {key!r} block")
+    return _object(data[key], f"{key!r} block")
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer")
+    return value
+
+
+def _ints(data, what: str) -> list[int]:
+    if not isinstance(data, list):
+        raise InputError(f"{what} must be a list of integers")
+    return [_int(v, what) for v in data]
+
+
+def _parsed(what: str, parse, *args):
+    """``parse(*args)`` on JSON data; a malformed shape is an input error."""
+    try:
+        return parse(*args)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid {what}: {exc}") from exc
+
+
 def _load_group(data) -> FiniteGroup:
-    if isinstance(data, dict) and "builtin" in data:
+    data = _object(data, "group")
+    if "builtin" in data:
         cat = catalog()
         name = data["builtin"]
-        if name not in cat:
+        if not isinstance(name, str) or name not in cat:
             raise InputError(f"unknown builtin group {name!r}")
         return cat[name]
-    try:
-        return FiniteGroup.from_json(data)
-    except ValueError as exc:
-        raise InputError(f"invalid group data: {exc}") from exc
+    return _parsed("group data", FiniteGroup.from_json, data)
 
 
 def _load_subgroup(group: FiniteGroup, data) -> Subgroup:
-    try:
-        if "elements" in data:
-            return Subgroup(group, data["elements"])
-        if "generators" in data:
-            return group.generated_subgroup(data["generators"])
-    except ValueError as exc:
-        raise InputError(f"invalid subgroup: {exc}") from exc
+    data = _object(data, "subgroup")
+    if "elements" in data:
+        return _parsed("subgroup", Subgroup, group,
+                       _ints(data["elements"], "subgroup elements"))
+    if "generators" in data:
+        gens = _ints(data["generators"], "subgroup generators")
+        if not all(0 <= g < group.order for g in gens):
+            raise InputError("subgroup generator out of range")
+        return group.generated_subgroup(gens)
     raise InputError("subgroup needs 'elements' or 'generators'")
 
 
@@ -87,17 +119,12 @@ def _as_json(obj):
     return str(obj)
 
 
-def _order_json(value):
-    n = group_order(value)
-    return "infinite" if n == float("inf") else n
-
-
 # ---------------------------------------------------------------------------
 # group subcommand
 # ---------------------------------------------------------------------------
 
 def run_group_report(args) -> tuple[dict, bool]:
-    data = _load_json(args.input)
+    data = _object(_load_json(args.input), "scenario")
     group = _load_group(data.get("group", data))
     ab, _ = abelianization(group)
     subgroups = group.all_subgroups()
@@ -133,59 +160,80 @@ def run_group_report(args) -> tuple[dict, bool]:
 # mackey subcommand
 # ---------------------------------------------------------------------------
 
-def _build_module(group: FiniteGroup, data: dict):
+def _build_module(group: FiniteGroup, data):
+    data = _object(data, "module")
     kind = data.get("kind", "trivial")
+    torsion = _int(data.get("torsion", 0), "module torsion")
     if kind == "trivial":
-        ab = FgAbGroup.from_json(data.get(
+        ab = _parsed("module group", FgAbGroup.from_json, data.get(
             "underlying", {"free_rank": 1, "invariant_factors": []}))
         return trivial_module(group, ab)
     if kind == "sign":
-        kernel = _load_subgroup(group, data["kernel"])
-        return sign_module(group, kernel, torsion=data.get("torsion", 0))
+        kernel = _load_subgroup(group, _block(data, "kernel"))
+        return sign_module(group, kernel, torsion=torsion)
     if kind == "permutation":
-        stab = _load_subgroup(group, data["stabilizer"])
+        stab = _load_subgroup(group, _block(data, "stabilizer"))
         sign_kernel = None
         if "sign_kernel" in data:
             sign_kernel = _load_subgroup(group, data["sign_kernel"])
-        return permutation_module(group, stab, torsion=data.get("torsion", 0),
+        return permutation_module(group, stab, torsion=torsion,
                                   sign_kernel=sign_kernel)
     raise InputError(f"unknown module kind {kind!r}")
 
 
 def _build_system(group: FiniteGroup, data, datum=None):
-    if data is None or data.get("kind", "full") == "full":
+    if data is None:
         return full_system(group)
-    if data["kind"] == "unramified":
+    kind = _object(data, "system").get("kind", "full")
+    if kind == "full":
+        return full_system(group)
+    if kind == "unramified":
         if datum is None:
             raise InputError("unramified system needs a ramification block")
         return unramified_system(datum)
     from .mackey import system_from_json
-    return system_from_json(group, data)
+    return _usable_system(_parsed("subgroup system", system_from_json, group, data))
 
 
-def _build_functor(group: FiniteGroup, data: dict, system, datum=None):
-    kind = data.get("kind")
+def _usable_system(system):
+    rep = validate_subgroup_system(system)
+    if not rep.passed:
+        raise InputError(f"invalid subgroup system at {rep.witness}: {rep.detail}")
+    return system
+
+
+def _build_functor(group: FiniteGroup, data, system, datum=None):
+    kind = _object(data, "functor").get("kind")
     if kind == "fixed_point":
         module = _build_module(group, data.get("module", {}))
         return fixed_point_functor(module, system)
     if kind == "abelianization":
         return abelianization_functor(system, commutator_system(system))
     if kind == "tables":
-        return functor_from_json(group, data["functor"])
+        phi = _parsed("functor tables", functor_from_json, group,
+                      data.get("functor"))
+        dom = _usable_system(phi.domain)
+        if not all(x in phi.values
+                   and all((y, x) in phi.res for y in dom.res_set(x))
+                   and all((x, y) in phi.ind for y in dom.ind_set(x))
+                   and all((g, x) in phi.con for g in range(group.order))
+                   for x in dom.points()):
+            raise InputError("functor tables miss a value or an edge map")
+        return phi
     raise InputError(f"unknown functor kind {kind!r}")
 
 
 def run_mackey_check(args) -> tuple[dict, bool]:
-    data = _load_json(args.input)
-    group = _load_group(data["group"])
+    data = _object(_load_json(args.input), "scenario")
+    group = _load_group(_block(data, "group"))
     datum = None
     if "ramification" in data:
-        datum = _ramification(group, data["ramification"])
+        datum = _ramification(group, _block(data, "ramification"))
     system = _build_system(group, data.get("system"), datum)
     report = Report()
     sysrep = validate_subgroup_system(system)
     report.add("subgroup_system_valid", sysrep.passed, sysrep.witness)
-    phi = _build_functor(group, data["functor"], system, datum)
+    phi = _build_functor(group, _block(data, "functor"), system, datum)
     for name, check in (("ric_axioms", validate_ric_functor),
                         ("stability", check_stability),
                         ("cohomological", check_cohomological)):
@@ -205,17 +253,17 @@ def run_mackey_check(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def _ramification(group: FiniteGroup, data: dict) -> RamificationDatum:
-    try:
-        return RamificationDatum(group, data["modulus"], tuple(data["d"]),
-                                 frozenset(data.get("primes_P", ())))
-    except ValueError as exc:
-        raise InputError(f"invalid ramification datum: {exc}") from exc
+    modulus = _int(data.get("modulus"), "ramification modulus")
+    d = _ints(data.get("d"), "ramification d")
+    primes = _ints(data.get("primes_P", []), "ramification primes_P")
+    return _parsed("ramification datum", RamificationDatum, group, modulus,
+                   tuple(d), frozenset(primes))
 
 
 def _valuation(c, data: dict, system) -> ValuationFamily:
     if "omega" not in data:
         raise InputError("valuation block needs an 'omega' entry")
-    m = data["omega"].get("modulus", 0)
+    m = _int(_object(data["omega"], "omega").get("modulus", 0), "omega modulus")
     omega = FgAbGroup(1) if m == 0 else FgAbGroup(0, (m,))
     comp_data = data.get("components")
     components = {}
@@ -229,35 +277,42 @@ def _valuation(c, data: dict, system) -> ValuationFamily:
         components = {k: AbHom.zero(c.values[k], omega)
                       for k in system.points()}
     else:
+        comp_data = _object(comp_data, "valuation components")
         for k in system.points():
             key = subgroup_key_to_id(k)
             if key not in comp_data:
                 raise InputError(f"valuation component missing for {key}")
-            components[k] = AbHom(c.values[k], omega,
-                                  tuple(tuple(r) for r in comp_data[key]))
+            matrix = comp_data[key]
+            if not isinstance(matrix, list):
+                raise InputError(f"valuation component for {key} must be a matrix")
+            rows = tuple(tuple(_ints(r, "valuation matrix row")) for r in matrix)
+            components[k] = _parsed("valuation component", AbHom, c.values[k],
+                                    omega, rows)
     return ValuationFamily(c, omega, components)
 
 
 def run_cft_scenario(args) -> tuple[dict, bool]:
-    data = _load_json(args.input)
-    group = _load_group(data["group"])
-    if "ramification" not in data:
-        raise InputError("scenario needs a 'ramification' block")
-    datum = _ramification(group, data["ramification"])
+    data = _object(_load_json(args.input), "scenario")
+    group = _load_group(_block(data, "group"))
+    datum = _ramification(group, _block(data, "ramification"))
     system = _build_system(group, data.get("system"), datum)
-    if "functor" not in data:
-        raise InputError("scenario needs a 'functor' block")
-    c = _build_functor(group, data["functor"], system, datum)
-    if "valuation" not in data:
-        raise InputError("scenario needs a 'valuation' block")
-    vfam = _valuation(c, data["valuation"], system)
+    c = _build_functor(group, _block(data, "functor"), system, datum)
+    vfam = _valuation(c, _block(data, "valuation"), system)
 
-    spec_data = data.get("spectrum", {"kind": "unramified"})
-    if isinstance(spec_data, dict) and "pairs" in spec_data:
+    spec_data = _object(data.get("spectrum", {"kind": "unramified"}),
+                        "spectrum")
+    if "pairs" in spec_data:
+        pairs = spec_data["pairs"]
+        if not isinstance(pairs, list):
+            raise InputError("spectrum pairs must be a list")
         ext: dict = {k: set() for k in system.points()}
-        for hpart, upart in spec_data["pairs"]:
-            hkey = tuple(sorted(hpart))
-            ext[hkey].add(tuple(sorted(upart)))
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError("a spectrum pair must be [H, U]")
+            hkey = tuple(sorted(_ints(pair[0], "spectrum pair H")))
+            if hkey not in ext:
+                raise InputError(f"spectrum pair H {list(hkey)} is not in the system")
+            ext[hkey].add(_load_subgroup(group, {"elements": pair[1]}).elements)
         for k in system.points():
             ext[k].add(k)
         extension = {k: sorted(v) for k, v in ext.items()}
@@ -310,12 +365,22 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def run_hrv_eval(args) -> tuple[dict, bool]:
-    data = _load_json(args.input)
+    data = _object(_load_json(args.input), "scenario")
     tasks = data.get("tasks", ["valuation"])
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
+    if not isinstance(tasks, list):
+        raise InputError("hrv tasks must be a list")
+    seed = args.seed if args.seed is not None else _int(data.get("seed", 0),
+                                                        "hrv seed")
+    samples = data.get("samples")
+    if samples is not None:
+        _int(samples, "hrv samples")
     report = Report()
     results: dict = {"checks": [], "valuations": [], "roundtrips": []}
-    elements = [laurent_from_json(e) for e in data.get("elements", [])]
+    elements = data.get("elements", [])
+    if not isinstance(elements, list):
+        raise InputError("hrv elements must be a list")
+    elements = [_parsed("Laurent element", laurent_from_json, e)
+                for e in elements]
     if "valuation" in tasks:
         for i, x in enumerate(elements):
             try:
@@ -333,15 +398,15 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
                   for x in elements}
         if "field" in data:
             f = data["field"]
-            field = LaurentField(f["p"], f["rank"],
-                                 tuple(f["window"]["lo"]),
-                                 tuple(f["window"]["hi"]))
+            field = _parsed("hrv field", lambda: LaurentField(
+                f["p"], f["rank"], tuple(f["window"]["lo"]),
+                tuple(f["window"]["hi"])))
             fields[(field.characteristic, field.rank,
                     field.window_lo, field.window_hi)] = field
         for field in fields.values():
             if "roundtrip" in tasks:
                 r = stack_roundtrip(field, seed=seed,
-                                    samples=data.get("samples", 1000))
+                                    samples=1000 if samples is None else samples)
                 report.add("stack_roundtrip", r.passed,
                            r.violations[:3] or None)
                 results["roundtrips"].append(
@@ -349,8 +414,8 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
                      "samples": r.samples, "skipped": r.skipped,
                      "violations": len(r.violations)})
             if "axioms" in tasks:
-                r = valuation_axiom_sampler(field, seed=seed,
-                                            samples=data.get("samples", 500))
+                r = valuation_axiom_sampler(
+                    field, seed=seed, samples=500 if samples is None else samples)
                 report.add("valuation_axioms", r.passed,
                            r.violations[:3] or None)
     results["checks"] = _report_json(report)
@@ -393,10 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out, passed = args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     rendered = (json.dumps(out, sort_keys=True, indent=2) + "\n"

@@ -214,6 +214,8 @@ class Subgroup:
         self.elements = tuple(sorted(set(elements)))
         self.element_set = frozenset(self.elements)
         if validate:
+            if not self.element_set <= set(range(parent.order)):
+                raise ValueError("subgroup element out of range")
             if 0 not in self.element_set:
                 raise ValueError("subgroup must contain the identity")
             for a in self.elements:
@@ -269,14 +271,6 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.parent, self.element_set & other.element_set,
                         validate=False)
-
-    def product_subgroup(self, other: "Subgroup") -> "Subgroup":
-        """Subgroup generated by the union (equals HK when one normalizes)."""
-        return self.parent.generated_subgroup(self.elements + other.elements)
-
-    def is_cyclic(self) -> bool:
-        return any(self.parent.element_order(g) == len(self.elements)
-                   for g in self.elements)
 
     def to_json(self) -> dict:
         return {"elements": list(self.elements)}

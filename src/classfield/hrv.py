@@ -91,11 +91,13 @@ class LaurentField:
     window_hi: tuple
 
     def __post_init__(self):
+        lo, hi = tuple(self.window_lo), tuple(self.window_hi)
+        if any(type(v) is not int for v in (self.characteristic, self.rank, *lo, *hi)):
+            raise ValueError("field parameters must be integers")
         if not _is_prime(self.characteristic):
             raise ValueError("characteristic must be prime")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        lo, hi = tuple(self.window_lo), tuple(self.window_hi)
         object.__setattr__(self, "window_lo", lo)
         object.__setattr__(self, "window_hi", hi)
         if len(lo) != self.rank or len(hi) != self.rank:
@@ -225,11 +227,6 @@ class LaurentElement:
         exact = self.exact and other.exact and not truncated
         return LaurentElement(field, out, exact=exact)
 
-    def scalar(self, c: int) -> "LaurentElement":
-        return LaurentElement(self.field,
-                              {e: v * c for e, v in self.support.items()},
-                              exact=self.exact)
-
     def power(self, n: int) -> "LaurentElement":
         if n < 0:
             return self.inverse().power(-n)
@@ -286,6 +283,9 @@ def laurent_from_json(data: dict) -> LaurentElement:
     field = LaurentField(data["p"], data["rank"],
                          tuple(data["window"]["lo"]), tuple(data["window"]["hi"]))
     support = {tuple(item["exp"]): item["coeff"] for item in data["support"]}
+    if any(len(e) != field.rank or any(type(v) is not int for v in (*e, c))
+           for e, c in support.items()):
+        raise ValueError("support terms need integer exponents of the field's rank")
     return LaurentElement(field, support)
 
 
@@ -458,35 +458,3 @@ def valuation_axiom_sampler(field: LaurentField, seed: int = 0,
         if vx != vy and vs != lower:
             violations.append(("ultrametric_eq", i, x.support, y.support))
     return SampleReport("valuation_axioms", samples, violations, skipped)
-
-
-@dataclass(frozen=True)
-class RankNValuation:
-    """The standard rank-n valuation of a field, as a callable family.
-
-    ``components`` views the value through the residue tower: component i
-    (1-based, innermost first) of v(x).  The full vector is the
-    RLO-minimal support point; see rank_n_valuation.
-    """
-
-    field: LaurentField
-
-    @property
-    def rank(self) -> int:
-        return self.field.rank
-
-    def __call__(self, x: LaurentElement) -> RloVec:
-        if x.field != self.field:
-            raise ValueError("element of a different field")
-        return rank_n_valuation(x)
-
-    def component(self, i: int, x: LaurentElement) -> int:
-        if not 1 <= i <= self.rank:
-            raise ValueError("component index out of range")
-        return self(x)[i - 1]
-
-    def project(self, r: int):
-        """The induced rank-r valuation (last r components)."""
-        def projected(x: LaurentElement) -> RloVec:
-            return project_valuation(self(x), r)
-        return projected

@@ -8,7 +8,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from classfield.abelian import (
-    _hnf_key, AbHom, FgAbGroup, group_order, hom_cokernel, hom_image, hom_kernel,
+    _hnf_key, _matmul, AbHom, FgAbGroup, group_order, hom_cokernel, hom_image, hom_kernel,
     invert_isomorphism, is_isomorphism, mat_mul, quotient, smith_decompose,
     solve_integer, subgroup_contains, subgroup_elements,
     subgroup_from_generators, subgroup_intersection, subgroups_equal,
@@ -309,3 +309,43 @@ class TestHermiteKey:
             assert snf_contains(group, gens_a, g) and snf_contains(group, gens_b, g)
         y = combination(data, group, gens_a)
         assert subgroup_contains(group, inter, y) == snf_contains(group, gens_b, y)
+
+
+def draw_hom(data, domain, codomain):
+    """A random well-defined hom: torsion column j is killed by its modulus."""
+    rows = [[0] * domain.rank for _ in range(codomain.rank)]
+    for j, f in enumerate(domain.moduli):
+        for i, m in enumerate(codomain.moduli):
+            step = 1 if f == 0 else (m // math.gcd(m, f) if m else 0)
+            rows[i][j] = step * data.draw(st.integers(-4, 4))
+    return AbHom(domain, codomain, tuple(map(tuple, rows)))
+
+
+class TestTrustedProducts:
+    """compose and add skip the well-definedness check of the constructor."""
+
+    @given(ab_groups(), ab_groups(), ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_validating_constructor(self, a, b, c, data):
+        g = draw_hom(data, a, b)
+        f, h = draw_hom(data, b, c), draw_hom(data, b, c)
+        product = tuple(
+            tuple(sum(f.matrix[i][k] * g.matrix[k][j] for k in range(b.rank))
+                  for j in range(a.rank))
+            for i in range(c.rank))
+        total = tuple(tuple(x + y for x, y in zip(rf, rh))
+                      for rf, rh in zip(f.matrix, h.matrix))
+        for trusted, checked in ((f.compose(g), AbHom(a, c, product)),
+                                 (f.add(h), AbHom(b, c, total))):
+            assert trusted == checked
+            assert hash(trusted) == hash(checked)
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matmul_keeps_the_shape(self, rows, inner, cols, data):
+        entries = st.integers(-5, 5)
+        a = [[data.draw(entries) for _ in range(inner)] for _ in range(rows)]
+        b = [[data.draw(entries) for _ in range(cols)] for _ in range(inner)]
+        assert _matmul(a, b, cols) == [
+            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]

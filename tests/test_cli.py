@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 FIXTURES = Path(__file__).parent.parent / "src" / "classfield" / "fixtures"
@@ -129,6 +135,18 @@ class TestMackeyCheck:
         assert proc.returncode == 0
 
 
+    def test_tables_functor_gets_the_mackey_formula(self, tmp_path):
+        # the tables carry their own subgroup system, which is validated
+        # like a scenario's; unvalidated, it failed as "not a Mackey system"
+        _, scenario = _scenarios()[3]
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(scenario))
+        proc = run_cli("mackey", "--input", str(path))
+        assert proc.returncode == 0, proc.stderr
+        statuses = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+        assert statuses["mackey_formula"] == "pass"
+
+
 class TestHrv:
     def test_fixture(self):
         proc = run_cli("hrv", "--input", str(FIXTURES / "hrv_rank2.json"))
@@ -167,3 +185,139 @@ class TestDeterminism:
                        "--format", "text")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+class TestExitCodeContract:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    MALFORMED = [
+        ("mackey", {"functor": {"kind": "abelianization"}}, "'group'"),
+        ("cft", {"ramification": {"modulus": 2, "d": [0, 1]}}, "'group'"),
+        ("group", [[0, 1], [1, 0]], "JSON object"),
+        ("mackey", {"group": {"builtin": "C2"}, "ramification": [2, [0, 1]],
+                    "functor": {"kind": "abelianization"}}, "'ramification'"),
+        ("cft", {"group": {"builtin": "C2"}, "ramification": 2},
+         "'ramification'"),
+    ]
+
+    def test_malformed_shapes_exit_2(self, tmp_path):
+        for i, (sub, data, needle) in enumerate(self.MALFORMED):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(data))
+            proc = run_cli(sub, "--input", str(path))
+            assert proc.returncode == 2, (sub, data, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("input error:") and needle in proc.stderr
+
+    def test_unusable_system_or_tables_exit_2(self, tmp_path):
+        # both used to crash in the functor builders or checkers (exit 1)
+        (_, tables), (_, custom) = _scenarios()[3:5]
+        tables["functor"]["functor"]["con"] = []
+        del custom["system"]["res"]["0"]
+        for i, (data, needle) in enumerate(((tables, "functor tables"),
+                                            (custom, "subgroup system"))):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(data))
+            proc = run_cli("mackey", "--input", str(path))
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("input error:") and needle in proc.stderr
+
+
+def _scenarios():
+    """Valid scenarios for every subcommand, to be mutated by the fuzz test."""
+    from classfield.catalog import catalog
+    from classfield.mackey import (abelianization_functor, full_system,
+                                   functor_to_json, system_to_json)
+    from classfield.transfer import commutator_system
+    out = [("cft", json.loads((FIXTURES / f"{name}.json").read_text()))
+           for name in ("c2_unramified", "c2_negation")]
+    out.append(("hrv", json.loads((FIXTURES / "hrv_rank2.json").read_text())))
+    c2 = catalog()["C2"]
+    system = full_system(c2)
+    tables = functor_to_json(abelianization_functor(system, commutator_system(system)))
+    custom = dict(system_to_json(system), kind="custom")
+    out += [
+        ("mackey", {"group": {"builtin": "C2"},
+                    "functor": {"kind": "tables", "functor": tables}}),
+        ("mackey", {"group": {"cayley_table": [[0, 1], [1, 0]]}, "system": custom,
+                    "functor": {"kind": "fixed_point", "module": {
+                        "kind": "permutation", "torsion": 2,
+                        "stabilizer": {"elements": [0]},
+                        "sign_kernel": {"generators": []}}}}),
+        ("group", {"group": {"perm_generators": [[1, 0, 2]], "degree": 3}}),
+        ("cft", {"group": {"builtin": "C2"},
+                 "ramification": {"modulus": 2, "d": [0, 1]},
+                 "functor": {"kind": "fixed_point"},
+                 "valuation": {"omega": {"modulus": 0},
+                               "components": {"0": [[1]], "0,1": [[1]]}},
+                 "spectrum": {"pairs": [[[0, 1], [0]]]}}),
+    ]
+    return out
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {k: _replaced(v, rest, new) if k == head else v
+                for k, v in value.items()}
+    return [_replaced(v, rest, new) if i == head else v
+            for i, v in enumerate(value)]
+
+
+SCHEMA_KEYS = ["group", "builtin", "cayley_table", "perm_generators", "degree",
+               "functor", "kind", "module", "underlying", "free_rank",
+               "invariant_factors", "kernel", "stabilizer", "torsion",
+               "elements", "generators", "system", "base", "res", "ind",
+               "ramification", "modulus", "d", "valuation", "omega",
+               "components", "spectrum", "pairs", "tasks", "field", "p",
+               "rank", "window", "lo", "hi", "support", "exp", "coeff"]
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
+                | st.floats(-2, 4, width=16) | st.text(max_size=3)
+                | st.sampled_from(["C1", "C2", "full", "custom", "tables",
+                                   "fixed_point", "abelianization", "identity",
+                                   "0", "0,1", "valuation", "roundtrip"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=16)
+SUBCOMMANDS = ["group", "mackey", "cft", "hrv"]
+
+
+def _exit_code(sub, data):
+    """cli.main in process; anything it raises fails the calling test."""
+    from classfield import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([sub, "--input", str(path),
+                             "--out", str(Path(tmp) / "out.json")])
+
+
+class TestCliFuzz:
+    @given(st.sampled_from(SUBCOMMANDS), JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value(self, sub, data):
+        assert _exit_code(sub, data) in (0, 1, 2)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mutated_scenarios(self, data):
+        scenarios = _scenarios()
+        sub, scenario = data.draw(st.sampled_from(scenarios))
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_paths(scenario))
+            path = data.draw(st.sampled_from(paths))
+            scenario = _replaced(scenario, path, data.draw(JSON_VALUES))
+        assert _exit_code(sub, scenario) in (0, 1, 2)

@@ -10,8 +10,9 @@ from classfield.mackey import (
     functor_to_json, omega_functor, permutation_module, quotient_functor,
     sign_module, system_from_predicate, trivial_module, unramified_system,
     validate_functor_morphism, validate_ric_functor, validate_subgroup_system,
-    NotSubfunctor,
+    NotSubfunctor, _ric_failure,
 )
+from classfield.groups import _generating_set
 from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
@@ -439,3 +440,167 @@ class TestSpecInvariants:
                     assert g.power(x, n) in set(ikey)
                     got = pi.res[(ikey, hkey)](cm_h(x))
                     assert got == cm_i(g.power(x, n))
+
+
+def _ric_exhaustive(phi):
+    """The RIC axioms with the con checks over every element of G."""
+    return _ric_failure(phi, range(phi.domain.group.order))
+
+
+def _ric_reduced(phi):
+    return _ric_failure(phi, _generating_set(phi.domain.group))
+
+
+def _twist(phi, key):
+    """An automorphism of the value at key other than the identity."""
+    v = phi.values[key]
+    neg = AbHom.multiplication(v, -1)
+    if neg != AbHom.identity(v):
+        return neg
+    if v.rank >= 2 and v.moduli[0] == v.moduli[1]:
+        rows = [[int(i == j) for j in range(v.rank)] for i in range(v.rank)]
+        rows[0][1] = 1
+        return AbHom(v, v, tuple(map(tuple, rows)))
+    return None
+
+
+class TestReducedRicCheck:
+    """validate_ric_functor checks the con axioms over a generating set.
+
+    Every planted defect sits away from the generators; the reduced pass
+    must still fail, and the reported witness must be the exhaustive
+    scan's first one.
+    """
+
+    @staticmethod
+    def _functors(group_catalog, system=full_system):
+        for name in ("D4", "Q8", "C2^4"):
+            s = system(group_catalog[name])
+            yield name, abelianization_functor(s, commutator_system(s))
+        d4 = group_catalog["D4"]
+        stab = next(h for h in d4.all_subgroups()
+                    if len(h) == 2 and not h.is_normal())
+        yield "perm", fixed_point_functor(permutation_module(d4, stab),
+                                          system(d4))
+
+    @staticmethod
+    def _assert_caught(phi):
+        exhaustive = _ric_exhaustive(phi)
+        assert exhaustive is not None
+        assert _ric_reduced(phi) is not None
+        rep = validate_ric_functor(phi)
+        assert (rep.passed, rep.witness, rep.detail) == \
+            (False, exhaustive.witness, exhaustive.detail)
+        return exhaustive
+
+    def test_genuine_functors_agree_with_exhaustive(self, group_catalog):
+        from classfield.cft import (Spectrum, full_extension,
+                                    induction_representation, tautological_cft)
+        functors = [phi for _, phi in self._functors(group_catalog)]
+        for name in ("S3", "A4", "C4xC2", "C3xC3"):
+            s = full_system(group_catalog[name])
+            functors.append(abelianization_functor(s, commutator_system(s)))
+            functors.extend(fixed_point_functor(m, s)
+                            for m in random_modules(s.group, seed=11, count=2))
+        s3 = full_system(symmetric(3))
+        spec = Spectrum(s3, full_extension(s3))
+        functors.append(tautological_cft(spec, commutator_system(s3)))
+        c4 = full_system(cyclic(4))
+        functors.append(induction_representation(
+            fixed_point_functor(trivial_module(c4.group, FgAbGroup(1)), c4),
+            Spectrum(c4, full_extension(c4))))
+        v4 = direct_product(cyclic(2), cyclic(2))
+        datum = RamificationDatum(v4, 2, (0, 0, 1, 1))
+        functors.append(omega_functor(datum, full_system(v4), FgAbGroup(1)))
+        for phi in functors:
+            assert validate_ric_functor(phi).passed
+            assert _ric_exhaustive(phi) is None
+
+    def test_con_off_the_generators(self, group_catalog):
+        for name, phi in self._functors(group_catalog):
+            grp, dom = phi.domain.group, phi.domain
+            gens = set(_generating_set(grp))
+            g = next(s for s in range(1, grp.order) if s not in gens)
+            x = next(k for k in dom.points() if phi.values[k].rank)
+            phi.con[(g, x)] = AbHom.zero(phi.values[x],
+                                         phi.values[dom.conjugate(g, x)])
+            self._assert_caught(phi)
+
+    def test_con_at_a_product_of_non_generators(self, group_catalog):
+        # con_{g2 g1, X} becomes another automorphism, so the break shows
+        # first as con_{g2, g1X} o con_{g1, X} != con_{g2 g1, X}, a
+        # composition the reduced pass never forms
+        for name, phi in self._functors(group_catalog):
+            grp, dom = phi.domain.group, phi.domain
+            gens = set(_generating_set(grp))
+            g2, g1 = next((a, b) for a in range(1, grp.order)
+                          for b in range(1, grp.order)
+                          if a not in gens and b not in gens
+                          and grp.mul(a, b) not in gens | {0})
+            g = grp.mul(g2, g1)
+            x, twist = next((k, t) for k in dom.points()
+                            if (t := _twist(phi, dom.conjugate(g, k))))
+            phi.con[(g, x)] = twist.compose(phi.con[(g, x)])
+            assert phi.con[(g2, dom.conjugate(g1, x))].compose(
+                phi.con[(g1, x)]) != phi.con[(g, x)]
+            self._assert_caught(phi)
+
+    def test_res_equivariance_off_the_generators(self, group_catalog):
+        # restrictions only to subgroups of order 2: no two res edges
+        # compose, so a bad res entry breaks equivariance and nothing
+        # else. The entry sits at (hY, hX) for a non-generator h. Every
+        # subgroup of Q8 and C2^4 is normal and con acts on pi_ab so that
+        # every well-defined res table is equivariant: no such defect.
+        def order_two(group):
+            return system_from_predicate(
+                group, lambda h, i: len(i) == 2 or i.elements == h.elements)
+
+        def bumped(m):
+            for i in range(m.codomain.rank):
+                for j in range(m.domain.rank):
+                    rows = [list(r) for r in m.matrix]
+                    rows[i][j] += 1
+                    try:
+                        yield AbHom(m.domain, m.codomain,
+                                    tuple(map(tuple, rows)))
+                    except ValueError:
+                        continue
+
+        for name, phi in self._functors(group_catalog, order_two):
+            if name in ("Q8", "C2^4"):
+                continue
+            grp, dom = phi.domain.group, phi.domain
+            gens = set(_generating_set(grp))
+            defects = ((key, bad) for h in range(1, grp.order) if h not in gens
+                       for x in dom.points() for y in dom.res_set(x) if y != x
+                       for key in [(dom.conjugate(h, y), dom.conjugate(h, x))]
+                       for bad in bumped(phi.res[key]))
+            for key, bad in defects:
+                good, phi.res[key] = phi.res[key], bad
+                if _ric_exhaustive(phi) is not None:
+                    break
+                phi.res[key] = good
+            assert self._assert_caught(phi).detail == "res not equivariant"
+
+    def test_domain_not_closed_under_conjugation_checks_every_element(self):
+        # S_r(S3) keeps one subgroup of order 2, so the induction over
+        # generators does not apply; a bad res entry that only a
+        # non-generator reaches must still be found
+        s3 = symmetric(3)
+        full = full_system(s3)
+        pi = abelianization_functor(full, commutator_system(full))
+        top = tuple(range(6))
+        keep, bad = sorted(k for k in full.points() if len(k) == 2)[::2]
+        res_sets = dict(full.res_sets)
+        res_sets[top] = tuple(k for k in res_sets[top]
+                              if len(k) != 2 or k == keep)
+        dom = SubgroupSystem(s3, [full.subgroup(k) for k in full.points()],
+                             res_sets, full.ind_sets)
+        res = dict(pi.res)
+        res[(bad, top)] = AbHom.zero(pi.values[top], pi.values[bad])
+        assert res[(bad, top)] != pi.res[(bad, top)]
+        phi = RicFunctor(dom, pi.values, res, pi.ind, pi.con)
+        assert _ric_reduced(phi) is None
+        rep = validate_ric_functor(phi)
+        assert not rep.passed
+        assert rep.witness == _ric_exhaustive(phi).witness
