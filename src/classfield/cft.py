@@ -20,21 +20,19 @@ from .abelian import (
     subgroup_elements, subgroup_from_generators, subgroup_intersection,
     subgroups_equal,
 )
-from .groups import Subgroup, abelian_quotient, commutator_subgroup, right_transversal
+from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps
 from .mackey import (
     FunctorMorphism, NotMackeyCover, RicFunctor, SubgroupSystem,
-    quotient_functor, validate_functor_morphism,
+    quotient_functor, quotient_table, validate_functor_morphism,
     _factor_through,
 )
 from .ramification import (
     DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel, RamificationDatum,
     d_horizon,
     frobenius_element, frobenius_group, frobenius_lifts, inertia_subgroup,
-    p_parts,
+    p_parts, prime_factors,
 )
-from .transfer import (
-    AbelianizationSystem, pretransfer, _subgroup_as_group,
-)
+from .transfer import AbelianizationSystem
 
 
 class NotUrFnd(ValueError):
@@ -209,48 +207,14 @@ def tautological_cft(spectrum: Spectrum, rsys: AbelianizationSystem) -> RicFunct
     values carry coordinate maps usable as the source of reciprocity
     morphisms.
     """
-    sys = spectrum.system
     grp = spectrum.group
-    values, coords = {}, {}
-    quot_kernels = {}
-    for pair in spectrum.points():
-        h, u = spectrum.subgroup_pair(pair)
-        r = rsys.assignment[pair[0]]
-        n = grp.generated_subgroup(list(u.elements) + list(r.elements))
-        quot_kernels[pair] = n
-        values[pair], coords[pair] = abelian_quotient(h, n)
-    res, ind, con = {}, {}, {}
-    for pair in spectrum.points():
-        hkey, ukey = pair
-        h = sys.subgroup(hkey)
-        cmap_h = coords[pair]
-        for q in spectrum.res_set(pair):
-            if q == pair:
-                res[(q, pair)] = AbHom.identity(values[pair])
-                continue
-            ikey = q[0]
-            sub = _subgroup_as_group(h)
-            inner_i = Subgroup(sub.group, [sub.index[e] for e in ikey],
-                               validate=False)
-            t = right_transversal(sub.group, inner_i)
-            cmap_i = coords[q]
-            cols = []
-            for rep in cmap_h.gen_reps:
-                v = pretransfer(sub.group, inner_i, t, sub.index[rep])
-                cols.append(list(cmap_i(sub.elements[v])))
-            res[(q, pair)] = AbHom.from_columns(values[pair], values[q], cols)
-        for q in spectrum.ind_set(pair):
-            cmap_i = coords[q]
-            cols = [list(cmap_h(rep)) for rep in cmap_i.gen_reps]
-            ind[(pair, q)] = AbHom.from_columns(values[q], values[pair], cols)
-        for g in range(grp.order):
-            gpair = spectrum.conjugate(g, pair)
-            cmap_g = coords[gpair]
-            cols = [list(cmap_g(grp.conj(g, rep))) for rep in cmap_h.gen_reps]
-            con[(g, pair)] = AbHom.from_columns(values[pair], values[gpair], cols)
-    return RicFunctor(spectrum, values, res, ind, con,
-                      meta={"kind": "tautological", "coords": coords,
-                            "kernels": quot_kernels, "system_r": rsys})
+    kernels = {}
+    for hkey, ukey in spectrum.points():
+        r = rsys.assignment[hkey]
+        kernels[(hkey, ukey)] = grp.generated_subgroup(list(ukey) + list(r.elements))
+    return quotient_table(spectrum, lambda pair: spectrum.system.subgroup(pair[0]),
+                          kernels, {"kind": "tautological", "kernels": kernels,
+                                    "system_r": rsys})
 
 
 def _check_mackey_cover(c: RicFunctor, spectrum: Spectrum):
@@ -300,18 +264,6 @@ def tate_h0(c: RicFunctor, hkey, ukey) -> tuple[FgAbGroup, AbHom]:
     return hom_cokernel(c.ind[(hkey, ukey)])
 
 
-def _coset_reps(h: Subgroup, u: Subgroup) -> list[int]:
-    p = h.parent
-    reps, seen = [], set()
-    for x in h.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        for a in u.elements:
-            seen.add(p.table[x][a])
-    return reps
-
-
 def _cyclic_generator_rep(h: Subgroup, u: Subgroup) -> int | None:
     """A representative generating H/U when that quotient is cyclic."""
     p = h.parent
@@ -340,7 +292,7 @@ def tate_hminus1(c: RicFunctor, hkey, ukey,
         raise ValueError("Tate groups need U normal in H")
     kernel, embed = hom_kernel(c.ind[(hkey, ukey)])
     gen = _cyclic_generator_rep(h, u) if cyclic_shortcut else None
-    reps = [gen] if gen is not None else _coset_reps(h, u)
+    reps = [gen] if gen is not None else coset_reps(h, u)
     value = c.values[ukey]
     ident = AbHom.identity(value)
     aug_gens = []
@@ -712,7 +664,7 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
 
     lift_ok = True
     coset_values: dict[int, tuple] = {}
-    for rep in _coset_reps(h, u):
+    for rep in coset_reps(h, u):
         try:
             lifts = frobenius_lifts(datum, h, u, rep)
         except NoLiftInModel:
@@ -925,21 +877,6 @@ class ReducedVerificationReport:
         return True
 
 
-def _prime_power_order(n: int) -> bool:
-    if n == 1:
-        return True
-    p = min(p for p in range(2, n + 1) if n % p == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, int(n ** 0.5) + 1))
-
-
 def reduced_verification(theta: FunctorMorphism, mode: str,
                          rsys: AbelianizationSystem,
                          class_functor: RicFunctor | None = None
@@ -970,7 +907,7 @@ def reduced_verification(theta: FunctorMorphism, mode: str,
             if tuple(ukey) not in set(map(tuple, spectrum.ext_r(hkey, rsys))):
                 continue
             n = len(hkey) // len(ukey)
-            if _is_prime(n) and not check_class_field_axiom(c, hkey, ukey):
+            if prime_factors(n) == {n} and not check_class_field_axiom(c, hkey, ukey):
                 hyp_ok, hyp_witness = False, ("class_field_axiom", pair)
                 break
 
@@ -987,7 +924,8 @@ def reduced_verification(theta: FunctorMorphism, mode: str,
         n = len(hkey) // len(ukey)
         iso = is_isomorphism(theta.components[pair])
         in_reduced = cyclic_quotient(pair) and (
-            _prime_power_order(n) if mode == "prime_power" else _is_prime(n))
+            len(prime_factors(n)) <= 1 if mode == "prime_power"
+            else prime_factors(n) == {n})
         if in_reduced and not iso and reduced_pass:
             reduced_pass, reduced_witness = False, pair
         if not iso and full_pass:

@@ -3,7 +3,8 @@
 Subcommands: group, mackey, cft, hrv.  Reports are JSON-first with an
 optional aligned text rendering; identical scenario and seed give
 byte-identical output.  Exit codes: 0 all requested checks passed,
-1 at least one check failed, 2 input error.
+1 at least one check failed or hit a limit of the finite model, 2 input
+error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 from .abelian import AbHom, FgAbGroup
 from .catalog import catalog
 from .cft import (
-    Report, Spectrum, ValuationFamily, certify_upsilon_tilde_multiplicative,
-    reduced_verification,
+    NotUrFnd, Report, Spectrum, ValuationFamily,
+    certify_upsilon_tilde_multiplicative, reduced_verification,
     unramified_extension, upsilon_morphism, validate_fnd, validate_urfnd,
     validate_valuation,
 )
@@ -32,7 +33,9 @@ from .mackey import (
     trivial_module, unramified_system, validate_ric_functor,
     validate_subgroup_system,
 )
-from .ramification import RamificationDatum
+from .ramification import (
+    DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel, RamificationDatum,
+)
 from .transfer import commutator_system, transfer
 
 
@@ -458,6 +461,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out, passed = args.fn(args)
+    except (DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel,
+            NotUrFnd) as exc:  # a limit of the finite model, not bad input
+        print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # InputError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2

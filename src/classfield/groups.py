@@ -317,35 +317,44 @@ class Transversal:
         return 0 in self.reps
 
 
-def right_transversal(g: FiniteGroup, h: Subgroup, unitary: bool = True) -> Transversal:
-    """Deterministic right transversal: minimal element per coset, ascending."""
-    reps = []
-    seen = set()
-    for x in range(g.order):
-        if x in seen:
-            continue
-        reps.append(x)
-        for a in h.elements:
-            seen.add(g.table[a][x])
-    t = Transversal(h, "right", tuple(reps))
+def _min_reps(elements, block) -> tuple[int, ...]:
+    """Least element of each block, ascending.
+
+    ``elements`` must be ascending and ``block(x)`` must list the block of
+    x, so that the blocks partition ``elements``.
+    """
+    reps, seen = [], set()
+    for x in elements:
+        if x not in seen:
+            reps.append(x)
+            seen.update(block(x))
+    return tuple(reps)
+
+
+def coset_reps(h: Subgroup, i: Subgroup, side: str = "left") -> tuple[int, ...]:
+    """Least element of each left (x*I) or right (I*x) coset of i in h."""
+    table = h.parent.table
+    if side == "left":
+        return _min_reps(h.elements, lambda x: (table[x][a] for a in i.elements))
+    if side == "right":
+        return _min_reps(h.elements, lambda x: (table[a][x] for a in i.elements))
+    raise ValueError("side must be 'right' or 'left'")
+
+
+def _transversal(g: FiniteGroup, h: Subgroup, side: str, unitary: bool) -> Transversal:
+    t = Transversal(h, side, coset_reps(g.full_subgroup(), h, side))
     if unitary and not t.is_unitary:
         raise AssertionError("minimal-rep transversal must contain the identity")
     return t
+
+
+def right_transversal(g: FiniteGroup, h: Subgroup, unitary: bool = True) -> Transversal:
+    """Deterministic right transversal: minimal element per coset, ascending."""
+    return _transversal(g, h, "right", unitary)
 
 
 def left_transversal(g: FiniteGroup, h: Subgroup, unitary: bool = True) -> Transversal:
-    reps = []
-    seen = set()
-    for x in range(g.order):
-        if x in seen:
-            continue
-        reps.append(x)
-        for a in h.elements:
-            seen.add(g.table[x][a])
-    t = Transversal(h, "left", tuple(reps))
-    if unitary and not t.is_unitary:
-        raise AssertionError("minimal-rep transversal must contain the identity")
-    return t
+    return _transversal(g, h, "left", unitary)
 
 
 def _rep_of_coset(t: Transversal, g: int) -> int:
@@ -389,19 +398,14 @@ def t_permutation(t: Transversal, g: int) -> dict[int, int]:
     return sigma
 
 
-def double_coset_reps(g: FiniteGroup, u: Subgroup, v: Subgroup) -> tuple[int, ...]:
-    """Minimal representatives of the (U,V)-double cosets, ascending."""
-    reps = []
-    seen = [False] * g.order
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        reps.append(x)
-        for a in u.elements:
-            ax = g.table[a][x]
-            for b in v.elements:
-                seen[g.table[ax][b]] = True
-    return tuple(reps)
+def double_coset_reps(g: FiniteGroup, u: Subgroup, v: Subgroup,
+                      within: Subgroup | None = None) -> tuple[int, ...]:
+    """Minimal representatives of the (U,V)-double cosets, ascending.
+
+    The cosets partition G, or ``within`` when given (U and V inside it).
+    """
+    elements = range(g.order) if within is None else within.elements
+    return _min_reps(elements, lambda x: double_coset_of(g, u, v, x))
 
 
 def double_coset_of(g: FiniteGroup, u: Subgroup, v: Subgroup, x: int) -> frozenset:
@@ -499,15 +503,8 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
     if not r.is_normal_in(h):
         raise ValueError("kernel must be normal in the subgroup")
     # cosets with min-element representatives
-    rep_of = {}
-    for x in h.elements:
-        if x in rep_of:
-            continue
-        coset = sorted(p.table[x][a] for a in r.elements)
-        m = coset[0]
-        for y in coset:
-            rep_of[y] = m
-    reps = sorted(set(rep_of.values()))
+    reps = coset_reps(h, r)
+    rep_of = {p.table[x][a]: x for x in reps for a in r.elements}
 
     def cmul(a, b):
         return rep_of[p.table[a][b]]
@@ -584,14 +581,8 @@ def quotient_group(g: FiniteGroup, n: Subgroup,
     """Quotient by a normal subgroup; returns the group and g -> index map."""
     if not n.is_normal():
         raise ValueError("quotient needs a normal subgroup")
-    rep_of = {}
-    for x in range(g.order):
-        if x in rep_of:
-            continue
-        coset = sorted(g.table[x][a] for a in n.elements)
-        for y in coset:
-            rep_of[y] = coset[0]
-    reps = sorted(set(rep_of.values()))
+    reps = coset_reps(g.full_subgroup(), n)
+    rep_of = {g.table[x][a]: x for x in reps for a in n.elements}
     index = {r: i for i, r in enumerate(reps)}
     table = [[index[rep_of[g.table[a][b]]] for b in reps] for a in reps]
     q = FiniteGroup(table, name=name or f"{g.name}/N", validate=False)

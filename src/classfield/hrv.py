@@ -78,6 +78,10 @@ def project_valuation(value: RloVec, r: int) -> RloVec:
 
 
 def _is_prime(p: int) -> bool:
+    # Not ramification.prime_factors: the characteristic is user input, and
+    # this stops at its smallest factor, while prime_factors would go on
+    # trial-dividing up to the square root of the cofactor, as for
+    # p = 2 * (10**17 + 3).
     return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 

@@ -6,6 +6,8 @@ map (an integer matrix) is materialized at construction, which keeps the
 exhaustive axiom checkers deterministic and the reports serializable.
 
 Built-in functors:
+  * quotient_table          -- H -> H/N(H), restriction = transfer; the
+                               builder behind pi_R and the tautological CFT
   * abelianization_functor  -- H -> H/R(H), restriction = transfer
   * fixed_point_functor     -- H -> A^H for a G-module A
   * omega_functor           -- constant cyclic value, res = *e, ind = *f
@@ -22,13 +24,11 @@ from .abelian import (
     is_isomorphism, quotient, subgroup_contains,
 )
 from .groups import (
-    FiniteGroup, Subgroup, _generating_set, abelian_quotient,
-    left_transversal, right_transversal,
+    FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps,
+    double_coset_reps, left_transversal,
 )
 from .ramification import RamificationDatum, degrees
-from .transfer import (
-    AbelianizationSystem, ValidationReport, pretransfer, _subgroup_as_group,
-)
+from .transfer import AbelianizationSystem, ValidationReport, _pretransfers
 
 
 class NotMackeySystem(ValueError):
@@ -189,22 +189,6 @@ def validate_subgroup_system(candidate: SubgroupSystem) -> ValidationReport:
         set(candidate.res_sets[k]) == {j for j in points if set(j) <= set(k)}
         == set(candidate.ind_sets[k]) for k in points)
     return ValidationReport(True)
-
-
-def double_coset_reps_in(h: Subgroup, u: Subgroup, v: Subgroup) -> tuple[int, ...]:
-    """Minimal (U,V)-double coset reps inside the subgroup h."""
-    p = h.parent
-    reps = []
-    seen = set()
-    for x in h.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        for a in u.elements:
-            ax = p.table[a][x]
-            for b in v.elements:
-                seen.add(p.table[ax][b])
-    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +452,7 @@ def check_mackey_formula(phi: RicFunctor) -> ValidationReport:
                 c_j = phi.values[jkey]
                 lhs = phi.res[(ikey, hkey)].compose(phi.ind[(hkey, jkey)])
                 rhs = [[0] * c_j.rank for _ in range(c_i.rank)]
-                for rho in double_coset_reps_in(h, i_sub, j_sub):
+                for rho in double_coset_reps(grp, i_sub, j_sub, within=h):
                     i_conj = dom.conjugate(grp.inverse[rho], ikey)
                     cap_right = tuple(sorted(set(i_conj) & set(jkey)))
                     cap_left = dom.conjugate(rho, cap_right)
@@ -505,48 +489,43 @@ def check_cohomological(phi: RicFunctor) -> ValidationReport:
 # built-in functors
 # ---------------------------------------------------------------------------
 
+def quotient_table(domain, subgroup_of, kernels: dict, meta: dict) -> RicFunctor:
+    """The functor x -> H/N with H = subgroup_of(x) and N = kernels[x].
+
+    Restriction along I <= H is the transfer from H to I; induction and
+    conjugation are induced by inclusion and conjugation.  ``meta`` gains
+    the coset coordinate maps under "coords".
+    """
+    grp = domain.group
+    values, coords = {}, {}
+    for x in domain.points():
+        values[x], coords[x] = abelian_quotient(subgroup_of(x), kernels[x])
+    res, ind, con = {}, {}, {}
+    for x in domain.points():
+        cmap_x = coords[x]
+        for y in domain.res_set(x):
+            if y == x:
+                res[(y, x)] = AbHom.identity(values[x])
+                continue
+            images = _pretransfers(subgroup_of(x), subgroup_of(y), cmap_x.gen_reps)
+            cols = [list(coords[y](v)) for v in images]
+            res[(y, x)] = AbHom.from_columns(values[x], values[y], cols)
+        for y in domain.ind_set(x):
+            cols = [list(cmap_x(rep)) for rep in coords[y].gen_reps]
+            ind[(x, y)] = AbHom.from_columns(values[y], values[x], cols)
+        for g in range(grp.order):
+            gx = domain.conjugate(g, x)
+            cols = [list(coords[gx](grp.conj(g, rep))) for rep in cmap_x.gen_reps]
+            con[(g, x)] = AbHom.from_columns(values[x], values[gx], cols)
+    return RicFunctor(domain, values, res, ind, con, meta=dict(meta, coords=coords))
+
+
 def abelianization_functor(system: SubgroupSystem,
                            rsys: AbelianizationSystem) -> RicFunctor:
-    """pi_R: H -> H/R(H) with transfer restrictions.
-
-    Conjugation and induction are induced by conjugation and inclusion;
-    restriction along I <= H is the transfer from H to I.
-    """
-    grp = system.group
-    values, coords = {}, {}
-    for key in system.points():
-        h = system.subgroup(key)
-        values[key], coords[key] = abelian_quotient(h, rsys.r_of(h))
-    res, ind, con = {}, {}, {}
-    for hkey in system.points():
-        h = system.subgroup(hkey)
-        cmap_h = coords[hkey]
-        for ikey in system.res_set(hkey):
-            if ikey == hkey:
-                res[(ikey, hkey)] = AbHom.identity(values[hkey])
-                continue
-            sub = _subgroup_as_group(h)
-            inner_i = Subgroup(sub.group, [sub.index[e] for e in ikey],
-                               validate=False)
-            t = right_transversal(sub.group, inner_i)
-            cmap_i = coords[ikey]
-            cols = []
-            for rep in cmap_h.gen_reps:
-                v = pretransfer(sub.group, inner_i, t, sub.index[rep])
-                cols.append(list(cmap_i(sub.elements[v])))
-            res[(ikey, hkey)] = AbHom.from_columns(values[hkey], values[ikey], cols)
-        for ikey in system.ind_set(hkey):
-            cmap_i = coords[ikey]
-            cols = [list(cmap_h(rep)) for rep in cmap_i.gen_reps]
-            ind[(hkey, ikey)] = AbHom.from_columns(values[ikey], values[hkey], cols)
-        for g in range(grp.order):
-            gkey = system.conjugate(g, hkey)
-            cmap_g = coords[gkey]
-            cols = [list(cmap_g(grp.conj(g, rep))) for rep in cmap_h.gen_reps]
-            con[(g, hkey)] = AbHom.from_columns(values[hkey], values[gkey], cols)
-    return RicFunctor(system, values, res, ind, con,
-                      meta={"kind": "abelianization", "coords": coords,
-                            "system_r": rsys})
+    """pi_R: H -> H/R(H), the quotient table of the system by R."""
+    kernels = {key: rsys.assignment[key] for key in system.points()}
+    return quotient_table(system, system.subgroup, kernels,
+                          {"kind": "abelianization", "system_r": rsys})
 
 
 def _factor_through(embed: AbHom, h: AbHom) -> AbHom:
@@ -578,7 +557,7 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
         for ikey in system.ind_set(hkey):
             h_sub = system.subgroup(hkey)
             i_sub = system.subgroup(ikey)
-            reps = _left_reps_in(h_sub, i_sub)
+            reps = coset_reps(h_sub, i_sub)
             norm = AbHom.zero(amb, amb)
             for r in reps:
                 norm = norm.add(module.action[r])
@@ -591,19 +570,6 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
     return RicFunctor(system, values, res, ind, con,
                       meta={"kind": "fixed_point", "module": module,
                             "embeddings": embeds})
-
-
-def _left_reps_in(h: Subgroup, i: Subgroup) -> list[int]:
-    """Minimal left-coset representatives of i inside h."""
-    p = h.parent
-    reps, seen = [], set()
-    for x in h.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        for a in i.elements:
-            seen.add(p.table[x][a])
-    return reps
 
 
 def omega_functor(datum: RamificationDatum, system: SubgroupSystem,

@@ -116,6 +116,15 @@ def _subgroup_as_group(h: Subgroup) -> _AsGroup:
     return out
 
 
+def _pretransfers(h: Subgroup, i: Subgroup, xs) -> list[int]:
+    """Pretransfer from h to its subgroup i of each x in xs, in the parent."""
+    sub = _subgroup_as_group(h)
+    inner_i = Subgroup(sub.group, [sub.index[e] for e in i.elements], validate=False)
+    t = right_transversal(sub.group, inner_i)
+    return [sub.elements[pretransfer(sub.group, inner_i, t, sub.index[x])]
+            for x in xs]
+
+
 def lambda_exponent(g: FiniteGroup, h: Subgroup, x: int, rho: int) -> int:
     """Least j > 0 with rho * x^j * rho^-1 in h."""
     j = 1
@@ -216,15 +225,10 @@ def validate_abelianization_system(candidate: AbelianizationSystem) -> Validatio
         for ikey in sys.res_set(key):
             if ikey == key:
                 continue
-            i_sub = sys.subgroup(ikey)
             r_i = candidate.assignment[ikey]
-            sub = _subgroup_as_group(h)
-            inner_i = Subgroup(sub.group, [sub.index[e] for e in i_sub.elements],
-                               validate=False)
-            t = right_transversal(sub.group, inner_i)
-            for x in r_h.elements:
-                val = pretransfer(sub.group, inner_i, t, sub.index[x])
-                if sub.elements[val] not in r_i.element_set:
+            images = _pretransfers(h, sys.subgroup(ikey), r_h.elements)
+            for x, val in zip(r_h.elements, images):
+                if val not in r_i.element_set:
                     return ValidationReport(False, (key, ikey, x),
                                             "transfer escapes R(I)")
     # (iii) inclusion compatibility on induction edges

@@ -222,6 +222,28 @@ class TestExitCodeContract:
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith("input error:") and needle in proc.stderr
 
+    def test_model_limit_exits_1(self, tmp_path):
+        # C12 with elements 1..11 relabeled by perm: the Frobenius-lift
+        # search meets NoLiftInModel, a limit of the finite model
+        perm = [0, 7, 11, 1, 5, 8, 4, 6, 3, 2, 10, 9]
+        table = [[0] * 12 for _ in range(12)]
+        for a in range(12):
+            for b in range(12):
+                table[perm[a]][perm[b]] = perm[(a + b) % 12]
+        d = [perm.index(x) for x in range(12)]
+        scenario = {
+            "group": {"cayley_table": table},
+            "ramification": {"modulus": 12, "d": d, "primes_P": [2, 3]},
+            "functor": {"kind": "fixed_point", "module": {"kind": "trivial"}},
+            "valuation": {"omega": {"modulus": 0}, "components": "identity"},
+            "spectrum": {"kind": "unramified"}, "system": {"kind": "full"}}
+        path = tmp_path / "c12.json"
+        path.write_text(json.dumps(scenario))
+        proc = run_cli("cft", "--input", str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("check failed: NoLiftInModel:")
+
 
 def _scenarios():
     """Valid scenarios for every subcommand, to be mutated by the fuzz test."""

@@ -9,8 +9,8 @@ from classfield.catalog import (
 )
 from classfield.groups import (
     FiniteGroup, InvalidReps, Subgroup, Transversal, abelian_quotient,
-    abelianization, are_isomorphic,
-    double_coset_reps, left_transversal, lift_double_coset_transversal,
+    abelianization, are_isomorphic, coset_reps,
+    double_coset_reps, double_coset_of, left_transversal, lift_double_coset_transversal,
     normal_core, quotient_group, right_transversal, t_permutation, t_remover,
 )
 
@@ -156,17 +156,44 @@ class TestDoubleCosets:
         # in the abelian case UgV are cosets of U+V
         uv = c12.generated_subgroup([4, 6])
         assert len(reps) == c12.order // len(uv)
+        # inside H = <3> of order 4 with U = 1, V = <6>: the cosets of V
+        h = c12.generated_subgroup([3])
+        assert double_coset_reps(c12, c12.trivial_subgroup(), v,
+                                 within=h) == (0, 3)
+        assert double_coset_reps(c12, uv, uv, within=uv) == (0,)
 
     def test_u_equals_g(self):
         s3 = symmetric(3)
         assert double_coset_reps(s3, s3.full_subgroup(),
                                  s3.trivial_subgroup()) == (0,)
+        assert double_coset_reps(s3, s3.full_subgroup(), s3.trivial_subgroup(),
+                                 within=s3.full_subgroup()) == (0,)
 
     def test_s3_transposition(self):
         s3 = symmetric(3)
         u = next(h for h in s3.all_subgroups()
                  if len(h) == 2)
         assert len(double_coset_reps(s3, u, u)) == 2
+        assert double_coset_reps(s3, u, u, within=u) == (0,)
+        trivial = s3.trivial_subgroup()
+        assert double_coset_reps(s3, trivial, trivial, within=u) == u.elements
+
+    def test_within_partitions_the_subgroup(self, group_catalog):
+        # brute force: the (U,V)-double cosets of the reps partition H,
+        # each rep is the least element of its double coset, ascending
+        for name in ("S3", "D4", "Q8", "A4"):
+            g = group_catalog[name]
+            subs = g.all_subgroups()
+            for h in subs:
+                inside = [s for s in subs if s.is_subgroup_of(h)]
+                for u in inside:
+                    for v in inside:
+                        reps = double_coset_reps(g, u, v, within=h)
+                        cosets = [double_coset_of(g, u, v, r) for r in reps]
+                        assert list(reps) == sorted(reps)
+                        assert [min(c) for c in cosets] == list(reps)
+                        assert sum(map(len, cosets)) == len(h)
+                        assert set().union(*cosets) == h.element_set
 
     def test_lift_transversal(self, group_catalog):
         for name in ("C4", "S3", "D4", "A4"):
@@ -181,15 +208,8 @@ class TestDoubleCosets:
                             g, (g.conj(g.inverse[rho], x) for x in u.elements),
                             validate=False)
                         cap = u_rho.intersection(v)
-                        reps_v, seen = [], set()
-                        for x in v.elements:
-                            if x in seen:
-                                continue
-                            reps_v.append(x)
-                            for a in cap.elements:
-                                seen.add(g.table[a][x])
-                        inner[rho] = Transversal(cap, "right", tuple(reps_v),
-                                                 ambient=v)
+                        inner[rho] = Transversal(
+                            cap, "right", coset_reps(v, cap, "right"), ambient=v)
                     lifted = lift_double_coset_transversal(g, u, v, reps, inner)
                     assert len(lifted.reps) == u.index
 
@@ -198,6 +218,42 @@ class TestDoubleCosets:
         u = next(h for h in s3.all_subgroups() if len(h) == 2)
         with pytest.raises(InvalidReps):
             lift_double_coset_transversal(s3, u, u, (0, 0), {})
+
+
+class TestCosetReps:
+    def test_partition_by_brute_force(self, group_catalog):
+        # |H:I| pairwise disjoint cosets covering H, each starting at its
+        # least element, in ascending order
+        for name in ("S3", "D4", "Q8", "A4", "S4"):
+            g = group_catalog[name]
+            subs = g.all_subgroups()
+            for h in subs:
+                for i in (s for s in subs if s.is_subgroup_of(h)):
+                    for side in ("left", "right"):
+                        reps = coset_reps(h, i, side)
+                        cosets = [
+                            sorted(g.table[r][a] if side == "left"
+                                   else g.table[a][r] for a in i.elements)
+                            for r in reps]
+                        assert len(reps) == len(h) // len(i)
+                        assert [c[0] for c in cosets] == list(reps)
+                        assert list(reps) == sorted(reps)
+                        assert set().union(*map(set, cosets)) == h.element_set
+
+    def test_sides_differ_for_a_non_normal_subgroup(self):
+        # S3 with I = <(0 1)>: the left and right cosets of I differ
+        s3 = symmetric(3)
+        i = next(h for h in s3.all_subgroups() if len(h) == 2)
+        full = s3.full_subgroup()
+        left, right = coset_reps(full, i, "left"), coset_reps(full, i, "right")
+        assert left != right
+        assert left == left_transversal(s3, i).reps
+        assert right == right_transversal(s3, i).reps
+
+    def test_rejects_unknown_side(self):
+        s3 = symmetric(3)
+        with pytest.raises(ValueError):
+            coset_reps(s3.full_subgroup(), s3.trivial_subgroup(), "up")
 
 
 class TestNormalCore:

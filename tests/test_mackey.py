@@ -361,7 +361,7 @@ class TestSpecInvariants:
         # for stable functors the right side is independent of the
         # double-coset representatives: shift each rep by u*rho*v
         import random
-        from classfield.mackey import double_coset_reps_in
+        from classfield.groups import double_coset_reps
         from classfield.abelian import AbHom
         rng = random.Random(17)
         s3 = symmetric(3)
@@ -386,7 +386,7 @@ class TestSpecInvariants:
             for ikey in sys.res_set(hkey):
                 for jkey in sys.ind_set(hkey):
                     i_sub, j_sub = sys.subgroup(ikey), sys.subgroup(jkey)
-                    reps = double_coset_reps_in(h, i_sub, j_sub)
+                    reps = double_coset_reps(s3, i_sub, j_sub, within=h)
                     base = mackey_rhs(pi, hkey, ikey, jkey, reps)
                     for _ in range(3):
                         shifted = tuple(
