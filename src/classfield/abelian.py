@@ -7,10 +7,13 @@ so a coordinate vector for ``FgAbGroup(r, (f1, ..., ft))`` has ``t + r``
 entries and entry ``i < t`` is reduced modulo ``f_i``.
 
 Kernels, preimages, presentations and integer solving go through a
-witnessed Smith normal form.  Subgroup membership, equality and
-intersection instead compare the canonical Hermite normal form of the
-subgroup's preimage lattice in Z^rank (``_hnf_key``).  Everything runs
-over plain Python integers, so there is no overflow and no floating point.
+witnessed Smith normal form, one per map: ``solve_integer`` answers every
+right-hand side of a matrix from a single decomposition, so preimages,
+factorizations and inverses solve all their columns at once.  Subgroup
+membership, equality and intersection, and with them surjectivity, compare
+the canonical Hermite normal form of the subgroup's preimage lattice in
+Z^rank (``_hnf_key``).  Everything runs over plain Python integers, so
+there is no overflow and no floating point.
 """
 
 from __future__ import annotations
@@ -190,29 +193,28 @@ def kernel_basis(m: Matrix, cols: int | None = None) -> list[list[int]]:
     return basis
 
 
-def solve_integer(m: Matrix, b: list[int], cols: int | None = None) -> list[int] | None:
-    """One integer solution of ``m @ x = b``, or None."""
+def solve_integer(m: Matrix, bs: list[list[int]],
+                  cols: int | None = None) -> list[list[int]] | None:
+    """One integer solution of ``m @ x = b`` per ``b`` in ``bs``, or None
+    when some ``b`` has none.  One Smith decomposition serves every column.
+    """
     rows = len(m)
     if cols is None:
         cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
+    if rows == 0 or not bs:
+        return [[0] * cols for _ in bs]
     if cols == 0:
-        return [] if all(v == 0 for v in b) else None
+        return None if any(map(any, bs)) else [[] for _ in bs]
     snf = smith_decompose(m)
-    ub = mat_vec(snf.left, b)
-    y = [0] * cols
-    for i in range(rows):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d:
-                return None
-            if i < cols:
-                y[i] = ub[i] // d
-    return mat_vec(snf.right, y)
+    diag = snf.diagonal + [0] * (rows - len(snf.diagonal))
+    xs = []
+    for b in bs:
+        ub = mat_vec(snf.left, b)
+        if any(u % d if d else u for u, d in zip(ub, diag)):
+            return None
+        y = [u // d if d else 0 for u, d in zip(ub, snf.diagonal)]
+        xs.append(mat_vec(snf.right, y + [0] * (cols - len(y))))
+    return xs
 
 
 def columns(mats: list[list[int]]) -> Matrix:
@@ -503,8 +505,7 @@ def quotient(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup, AbHom]:
 
 def hom_kernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
     """Kernel of a homomorphism with its embedding into the domain."""
-    m = [list(r) for r in h.matrix]
-    pre = lattice_preimage(m, h.codomain.relation_columns(), cols=h.domain.rank)
+    pre = lattice_preimage(h.matrix, h.codomain.relation_columns(), cols=h.domain.rank)
     return subgroup_from_generators(h.domain, pre)
 
 
@@ -519,12 +520,14 @@ def hom_cokernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
 
 
 def is_surjective(h: AbHom) -> bool:
-    coker, _ = hom_cokernel(h)
-    return coker.is_trivial()
+    return subgroups_equal(h.codomain, h.image_generators(),
+                           identity_matrix(h.codomain.rank))
+
 
 def is_injective(h: AbHom) -> bool:
-    ker, _ = hom_kernel(h)
-    return ker.is_trivial()
+    """Whatever h sends into the codomain's relations is a domain relation."""
+    pre = lattice_preimage(h.matrix, h.codomain.relation_columns(), cols=h.domain.rank)
+    return not any(any(h.domain.reduce(x)) for x in pre)
 
 
 def is_isomorphism(h: AbHom) -> bool:
@@ -533,30 +536,39 @@ def is_isomorphism(h: AbHom) -> bool:
 
 def invert_isomorphism(h: AbHom) -> AbHom:
     """Inverse of an isomorphism (raises when h is not one)."""
-    cols = []
-    for j in range(h.codomain.rank):
-        e = [1 if i == j else 0 for i in range(h.codomain.rank)]
-        x = element_preimage(h, e)
-        if x is None:
-            raise ValueError("homomorphism is not surjective")
-        cols.append(list(x))
+    cols = element_preimages(h, identity_matrix(h.codomain.rank))
+    if cols is None:
+        raise ValueError("homomorphism is not surjective")
     inv = AbHom.from_columns(h.codomain, h.domain, cols)
     if inv.compose(h) != AbHom.identity(h.domain):
         raise ValueError("homomorphism is not injective")
     return inv
 
 
+def element_preimages(h: AbHom, ys) -> list[tuple[int, ...]] | None:
+    """Some x with h(x) = y for each y in ys, or None when one y has none.
+
+    Every y is solved against one Smith decomposition of ``[M | relations]``.
+    """
+    rel = h.codomain.relation_columns()
+    stacked = [list(row) + [col[i] for col in rel] for i, row in enumerate(h.matrix)]
+    xs = solve_integer(stacked, [list(h.codomain.reduce(y)) for y in ys],
+                       cols=h.domain.rank + len(rel))
+    return None if xs is None else [h.domain.reduce(x[: h.domain.rank]) for x in xs]
+
+
 def element_preimage(h: AbHom, y) -> tuple[int, ...] | None:
     """Some x with h(x) = y, or None."""
-    y = list(h.codomain.reduce(y))
-    m = [list(r) for r in h.matrix]
-    rel = h.codomain.relation_columns()
-    s = len(rel)
-    stacked = [m[i] + [rel[j][i] for j in range(s)] for i in range(len(m))]
-    x = solve_integer(stacked, y, cols=h.domain.rank + s)
-    if x is None:
-        return None
-    return h.domain.reduce(x[: h.domain.rank])
+    xs = element_preimages(h, [y])
+    return None if xs is None else xs[0]
+
+
+def factor_through(embed: AbHom, h: AbHom) -> AbHom:
+    """Solve embed o x = h for x, all columns at once."""
+    xs = element_preimages(embed, h.image_generators())
+    if xs is None:
+        raise ValueError("map does not factor through the subgroup")
+    return AbHom.from_columns(h.domain, embed.domain, xs)
 
 
 def _hnf_key(moduli, rows) -> tuple[tuple[int, ...], ...]:

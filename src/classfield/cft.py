@@ -15,16 +15,15 @@ import math
 from dataclasses import dataclass, field
 
 from .abelian import (
-    AbHom, FgAbGroup, element_preimage, group_order, hom_cokernel, hom_kernel,
-    is_isomorphism, is_surjective, quotient, subgroup_contains,
-    subgroup_elements, subgroup_from_generators, subgroup_intersection,
-    subgroups_equal,
+    AbHom, FgAbGroup, element_preimage, element_preimages, factor_through,
+    group_order, hom_cokernel, hom_kernel, is_injective, is_isomorphism,
+    is_surjective, quotient, subgroup_contains, subgroup_elements,
+    subgroup_from_generators, subgroup_intersection, subgroups_equal,
 )
 from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps
 from .mackey import (
     FunctorMorphism, NotMackeyCover, RicFunctor, SubgroupSystem,
     quotient_functor, quotient_table, validate_functor_morphism,
-    _factor_through,
 )
 from .ramification import (
     DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel, RamificationDatum,
@@ -295,14 +294,11 @@ def tate_hminus1(c: RicFunctor, hkey, ukey,
     reps = [gen] if gen is not None else coset_reps(h, u)
     value = c.values[ukey]
     ident = AbHom.identity(value)
-    aug_gens = []
-    for rep in reps:
-        diff = c.con[(rep, ukey)].add(ident.scaled(-1))
-        for col in diff.image_generators():
-            x = element_preimage(embed, col)
-            if x is None:
-                raise AssertionError("augmentation image must lie in ker(ind)")
-            aug_gens.append(list(x))
+    cols = [col for rep in reps
+            for col in c.con[(rep, ukey)].add(ident.scaled(-1)).image_generators()]
+    aug_gens = element_preimages(embed, cols)
+    if aug_gens is None:
+        raise AssertionError("augmentation image must lie in ker(ind)")
     result, _ = quotient(kernel, aug_gens)
     return result
 
@@ -417,7 +413,7 @@ def _kernel_map(v: ValuationFamily, src_key, dst_key, edge: AbHom):
     """Restrict an edge map of C to the kernels of the valuation."""
     k_src, emb_src = hom_kernel(v.components[src_key])
     k_dst, emb_dst = hom_kernel(v.components[dst_key])
-    return _factor_through(emb_dst, edge.compose(emb_src)), k_src, k_dst
+    return factor_through(emb_dst, edge.compose(emb_src)), k_src, k_dst
 
 
 def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
@@ -442,13 +438,9 @@ def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
         im_u_scaled = [list(omega.scale(n, col))
                        for col in v.components[ukey].image_generators()]
         s, emb = subgroup_from_generators(omega, im_h)
-        rel_gens = []
-        for colv in im_u_scaled:
-            x = element_preimage(emb, colv)
-            if x is None:
-                report.add("index_subgroup_inclusion", False, pair)
-                break
-            rel_gens.append(list(x))
+        rel_gens = element_preimages(emb, im_u_scaled)
+        if rel_gens is None:
+            report.add("index_subgroup_inclusion", False, pair)
         else:
             q, proj = quotient(s, rel_gens)
             ok_order = group_order(q) == n
@@ -582,10 +574,7 @@ def validate_fnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
                 con_diff = c.con[(phi, vkey)].add(
                     AbHom.identity(c.values[vkey]).scaled(-1))
                 con_k, _, _ = _kernel_map(v, vkey, vkey, con_diff)
-                ok = True
-                ker_res, _ = hom_kernel(res_k)
-                if not ker_res.is_trivial():
-                    ok = False
+                ok = is_injective(res_k)
                 im_res = res_k.image_generators()
                 ker_con, ker_con_emb = hom_kernel(con_k)
                 if ok and not subgroups_equal(k_v, im_res,

@@ -375,8 +375,8 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
     seed = args.seed if args.seed is not None else _int(data.get("seed", 0),
                                                         "hrv seed")
     samples = data.get("samples")
-    if samples is not None:
-        _int(samples, "hrv samples")
+    if samples is not None and _int(samples, "hrv samples") < 1:
+        raise InputError("hrv samples must be at least 1")
     report = Report()
     results: dict = {"checks": [], "valuations": [], "roundtrips": []}
     elements = data.get("elements", [])

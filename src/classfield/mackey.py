@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .abelian import (
-    FgAbGroup, AbHom, _matmul, element_preimage, fixed_subgroup,
-    is_isomorphism, quotient, subgroup_contains,
+    FgAbGroup, AbHom, _matmul, element_preimages, factor_through,
+    fixed_subgroup, identity_matrix, is_isomorphism, quotient,
+    subgroup_contains,
 )
 from .groups import (
     FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps,
@@ -528,19 +529,6 @@ def abelianization_functor(system: SubgroupSystem,
                           {"kind": "abelianization", "system_r": rsys})
 
 
-def _factor_through(embed: AbHom, h: AbHom) -> AbHom:
-    """Solve embed o x = h for x (columns solved independently)."""
-    cols = []
-    for j in range(h.domain.rank):
-        e = [1 if i == j else 0 for i in range(h.domain.rank)]
-        y = h(e)
-        x = element_preimage(embed, y)
-        if x is None:
-            raise ValueError("map does not factor through the subgroup")
-        cols.append(list(x))
-    return AbHom.from_columns(h.domain, embed.domain, cols)
-
-
 def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
     """A_*: H -> A^H with inclusion restrictions and norm inductions."""
     grp = system.group
@@ -553,7 +541,7 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
     for hkey in system.points():
         emb_h = embeds[hkey]
         for ikey in system.res_set(hkey):
-            res[(ikey, hkey)] = _factor_through(embeds[ikey], emb_h)
+            res[(ikey, hkey)] = factor_through(embeds[ikey], emb_h)
         for ikey in system.ind_set(hkey):
             h_sub = system.subgroup(hkey)
             i_sub = system.subgroup(ikey)
@@ -561,11 +549,11 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
             norm = AbHom.zero(amb, amb)
             for r in reps:
                 norm = norm.add(module.action[r])
-            ind[(hkey, ikey)] = _factor_through(
+            ind[(hkey, ikey)] = factor_through(
                 emb_h, norm.compose(embeds[ikey]))
         for g in range(grp.order):
             gkey = system.conjugate(g, hkey)
-            con[(g, hkey)] = _factor_through(
+            con[(g, hkey)] = factor_through(
                 embeds[gkey], module.action[g].compose(emb_h))
     return RicFunctor(system, values, res, ind, con,
                       meta={"kind": "fixed_point", "module": module,
@@ -621,18 +609,14 @@ def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
                 if not subgroup_contains(phi.values[x], gens,
                                          phi.ind[(x, y)](v)):
                     raise NotSubfunctor(f"ind edge ({x},{y}) escapes subfunctor")
-    values, projs = {}, {}
+    values, projs, lifts = {}, {}, {}
     for x in dom.points():
         values[x], projs[x] = quotient(phi.values[x], sub_gens.get(x, []))
+        lifts[x] = element_preimages(projs[x], identity_matrix(values[x].rank))
 
     def induced(m: AbHom, src_key, dst_key) -> AbHom:
-        src_q, dst_q = values[src_key], values[dst_key]
-        cols = []
-        for j in range(src_q.rank):
-            e = [1 if i == j else 0 for i in range(src_q.rank)]
-            lift = element_preimage(projs[src_key], e)
-            cols.append(list(projs[dst_key](m(lift))))
-        return AbHom.from_columns(src_q, dst_q, cols)
+        return AbHom.from_columns(values[src_key], values[dst_key],
+                                  [projs[dst_key](m(lift)) for lift in lifts[src_key]])
 
     res = {(y, x): induced(m, x, y) for (y, x), m in phi.res.items()}
     ind = {(x, y): induced(m, y, x) for (x, y), m in phi.ind.items()}
@@ -756,7 +740,7 @@ def check_galois_descent(phi: RicFunctor, hkey, ukey) -> bool:
             raise ValueError("conjugation does not preserve Phi(U)")
     fixed, emb = fixed_subgroup(phi.values[ukey], endos)
     try:
-        factored = _factor_through(emb, phi.res[(ukey, hkey)])
+        factored = factor_through(emb, phi.res[(ukey, hkey)])
     except ValueError:
         return False
     return is_isomorphism(factored)
@@ -788,7 +772,7 @@ def adjunction_maps(module: GModule, phi: RicFunctor, basis) -> AdjunctionResult
     for key in system.points():
         emb = colim_star.meta["embeddings"][key]
         try:
-            comp = _factor_through(emb, phi.res[(n0.elements, key)])
+            comp = factor_through(emb, phi.res[(n0.elements, key)])
         except ValueError:
             raise AssertionError("restriction must land in the fixed points")
         components[key] = comp

@@ -55,6 +55,8 @@ def _is_transfer_inducing(g: FiniteGroup, h: Subgroup, r_h: Subgroup,
     # memoized per group instance, keyed by the (H, R_H, R_G) triple
     key = ("transfer_pair", h.elements, r_h.elements, r_g.elements)
     if key not in g._cache:
+        _coabelian_check(h, r_h)
+        _coabelian_check(g.full_subgroup(), r_g)
         t = right_transversal(g, h)
         g._cache[key] = all(
             pretransfer(g, h, t, x) in r_h.element_set for x in r_g.elements)
@@ -69,8 +71,6 @@ def transfer(g: FiniteGroup, h: Subgroup, r_h: Subgroup, r_g: Subgroup,
     independent of the transversal and defines a homomorphism
     G/R_G -> H/R_H.
     """
-    _coabelian_check(h, r_h)
-    _coabelian_check(g.full_subgroup(), r_g)
     if not _is_transfer_inducing(g, h, r_h, r_g):
         raise NotTransferInducing(
             "pretransfer does not map R_G into R_H for this pair")

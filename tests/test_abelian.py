@@ -8,8 +8,9 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from classfield.abelian import (
-    _hnf_key, _matmul, AbHom, FgAbGroup, group_order, hom_cokernel, hom_image, hom_kernel,
-    invert_isomorphism, is_isomorphism, mat_mul, quotient, smith_decompose,
+    _hnf_key, _matmul, AbHom, FgAbGroup, element_preimages, group_order,
+    hom_cokernel, hom_image, hom_kernel, invert_isomorphism, is_injective,
+    is_isomorphism, is_surjective, mat_mul, quotient, smith_decompose,
     solve_integer, subgroup_contains, subgroup_elements,
     subgroup_from_generators, subgroup_intersection, subgroups_equal,
 )
@@ -64,8 +65,9 @@ class TestSmith:
              for _ in range(rows)]
         x = [data.draw(st.integers(-3, 3)) for _ in range(cols)]
         b = [sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        got = solve_integer(m, b)
+        got = solve_integer(m, [b])
         assert got is not None
+        [got] = got
         assert [sum(m[i][j] * got[j] for j in range(cols))
                 for i in range(rows)] == b
 
@@ -217,7 +219,7 @@ def snf_contains(group, gens, x):
     if not cols:
         return not any(x)
     m = [[col[i] for col in cols] for i in range(group.rank)]
-    return solve_integer(m, list(group.reduce(x)), cols=len(cols)) is not None
+    return solve_integer(m, [list(group.reduce(x))], cols=len(cols)) is not None
 
 
 def combination(data, group, gens):
@@ -349,3 +351,22 @@ class TestTrustedProducts:
         assert _matmul(a, b, cols) == [
             [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)]
+
+
+class TestSolvePerMap:
+    """One Smith decomposition per map answers every right-hand side; the
+    HNF key and the kernel and cokernel presentations are the oracles."""
+
+    @given(ab_groups(), ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_membership_and_presentations(self, a, b, data):
+        h = draw_hom(data, a, b)
+        image = h.image_generators()
+        ys = [combination(data, b, image) if data.draw(st.booleans()) else y
+              for y in draw_vectors(data, b, 4)]
+        xs = element_preimages(h, ys)
+        assert (xs is not None) == all(subgroup_contains(b, image, y) for y in ys)
+        if xs is not None:
+            assert [h(x) for x in xs] == [b.reduce(y) for y in ys]
+        assert is_injective(h) == hom_kernel(h)[0].is_trivial()
+        assert is_surjective(h) == hom_cokernel(h)[0].is_trivial()

@@ -167,6 +167,17 @@ class TestHrv:
         out = json.loads(proc.stdout)
         assert "error" in out["valuations"][0]
 
+    def test_no_samples_is_an_input_error(self, tmp_path):
+        # a sampled check with no samples would pass without checking anything
+        data = json.loads((FIXTURES / "hrv_rank2.json").read_text())
+        for samples in (0, -5):
+            data.update(samples=samples, tasks=["roundtrip", "axioms"])
+            path = tmp_path / f"samples{samples}.json"
+            path.write_text(json.dumps(data))
+            proc = run_cli("hrv", "--input", str(path))
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("input error: hrv samples")
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):

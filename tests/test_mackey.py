@@ -399,8 +399,7 @@ class TestSpecInvariants:
 
     def test_counit_unit_matrix_identities(self):
         # epsilon(A)_* o eta(A_*) = id and epsilon(Phi^*) o eta(Phi)^* = id
-        from classfield.abelian import AbHom
-        from classfield.mackey import _factor_through
+        from classfield.abelian import AbHom, factor_through
         s3 = symmetric(3)
         sys = full_system(s3)
         basis = [h for h in s3.all_subgroups() if h.is_normal()]
@@ -413,7 +412,7 @@ class TestSpecInvariants:
                 # epsilon(A)_* at k: restrict epsilon through the embeddings
                 emb_target = a_star.meta["embeddings"][k]
                 emb_src = colim_star.meta["embeddings"][k]
-                eps_component = _factor_through(
+                eps_component = factor_through(
                     emb_target, adj.counit.compose(emb_src))
                 comp = eps_component.compose(adj.unit.components[k])
                 assert comp == AbHom.identity(a_star.values[k])

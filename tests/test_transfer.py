@@ -90,6 +90,19 @@ class TestTransfer:
         for x in range(6):
             assert transfer(s3, g_full, r, r, x) == coset_rep(s3, g_full, r, x)
 
+    def test_failed_coabelian_check_raises_on_every_call(self):
+        # the checks run once per (H, R_H, R_G), before the memo is filled
+        s3 = symmetric(3)
+        g_full = s3.full_subgroup()
+        r = commutator_subgroup(g_full)
+        triv = s3.trivial_subgroup()
+        for _ in range(2):
+            for r_h, r_g in ((triv, r), (r, triv)):
+                with pytest.raises(ValueError, match="not abelian"):
+                    transfer(s3, g_full, r_h, r_g, 1)
+        for x in range(6):
+            assert transfer(s3, g_full, r, r, x) == coset_rep(s3, g_full, r, x)
+
     def test_not_transfer_inducing(self):
         # R_G = C4 itself cannot transfer into R_H = 1: V(g) = g^2 != e
         c4 = cyclic(4)
