@@ -12,7 +12,10 @@ right-hand side of a matrix from a single decomposition, so preimages,
 factorizations and inverses solve all their columns at once.  Subgroup
 membership, equality and intersection, and with them surjectivity, compare
 the canonical Hermite normal form of the subgroup's preimage lattice in
-Z^rank (``_hnf_key``).  Everything runs over plain Python integers, so
+Z^rank (``subgroup_key``).  The key is built once per subgroup, not once
+per query: ``subgroup_contains`` tests many elements against one key, and a
+caller with many questions about one subgroup keeps its key, whose rows
+generate the subgroup.  Everything runs over plain Python integers, so
 there is no overflow and no floating point.
 """
 
@@ -486,7 +489,9 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup,
         s = FgAbGroup(0)
         return s, AbHom(s, ambient, tuple(() for _ in range(ambient.rank)))
     w = columns(gens)
-    rel = lattice_preimage(w, ambient.relation_columns(), cols=len(gens))
+    # kernel bases can be huge and blow up the SNF; the Hermite form is small
+    rel = _hnf_key([0] * len(gens),
+                   lattice_preimage(w, ambient.relation_columns(), cols=len(gens)))
     s, _, from_new = presentation_from_lattice(len(gens), rel)
     embed_cols = [ambient.reduce(mat_vec(w, rep)) for rep in from_new]
     embed = AbHom.from_columns(s, ambient, [list(c) for c in embed_cols])
@@ -605,19 +610,28 @@ def _hnf_key(moduli, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p) for _, p in basis)
 
 
-def subgroup_contains(ambient: FgAbGroup, gens: list, x) -> bool:
-    """Is x in the subgroup of ambient generated by gens?"""
-    x = list(ambient.reduce(x))
-    for row in _hnf_key(ambient.moduli, gens):
-        c = next(i for i, v in enumerate(row) if v)
-        q = x[c] // row[c]  # a remainder survives to the final check
-        if q:
-            x = [u - q * v for u, v in zip(x, row)]
-    return not any(x)
+def subgroup_key(ambient: FgAbGroup, gens: list) -> tuple[tuple[int, ...], ...]:
+    """Canonical key of <gens>: equal exactly for equal subgroups, rows generate it."""
+    return _hnf_key(ambient.moduli, gens)
+
+
+def subgroup_contains(ambient: FgAbGroup, gens: list, *xs) -> bool:
+    """Is every x in the subgroup of ambient generated by gens?"""
+    key = [(next(i for i, v in enumerate(row) if v), row)
+           for row in subgroup_key(ambient, gens)]
+    for x in xs:
+        x = list(ambient.reduce(x))
+        for c, row in key:
+            q = x[c] // row[c]  # a remainder survives to the final check
+            if q:
+                x = [u - q * v for u, v in zip(x, row)]
+        if any(x):
+            return False
+    return True
 
 
 def subgroups_equal(ambient: FgAbGroup, gens_a: list, gens_b: list) -> bool:
-    return _hnf_key(ambient.moduli, gens_a) == _hnf_key(ambient.moduli, gens_b)
+    return subgroup_key(ambient, gens_a) == subgroup_key(ambient, gens_b)
 
 
 def subgroup_intersection(ambient: FgAbGroup, gens_a: list, gens_b: list) -> list:

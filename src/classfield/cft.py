@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 from .abelian import (
     AbHom, FgAbGroup, element_preimage, element_preimages, factor_through,
-    group_order, hom_cokernel, hom_kernel, is_injective, is_isomorphism,
-    is_surjective, quotient, subgroup_contains, subgroup_elements,
-    subgroup_from_generators, subgroup_intersection, subgroups_equal,
+    group_order, hom_cokernel, hom_kernel, identity_matrix, is_injective,
+    is_isomorphism, is_surjective, quotient, subgroup_contains,
+    subgroup_elements, subgroup_from_generators, subgroup_intersection,
+    subgroup_key, subgroups_equal,
 )
 from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps
 from .mackey import (
@@ -61,6 +62,7 @@ class Spectrum:
         self.group = system.group
         self.extension = {k: tuple(sorted(v)) for k, v in extension.items()}
         self._validate_extension()
+        self._ind = {}
         self.pairs = tuple(sorted(
             (hkey, ukey)
             for hkey in system.points() for ukey in self.extension[hkey]))
@@ -96,20 +98,17 @@ class Spectrum:
 
     def res_set(self, pair: PairKey):
         hkey, ukey = pair
-        out = []
-        for ikey in self.system.res_set(hkey):
-            if ukey in self.extension[ikey]:
-                out.append((ikey, ukey))
-        return tuple(sorted(out))
+        return tuple(sorted((ikey, ukey) for ikey in self.system.res_set(hkey)
+                            if ukey in self.extension[ikey]))
 
     def ind_set(self, pair: PairKey):
-        hkey, ukey = pair
-        out = []
-        for ikey in self.system.ind_set(hkey):
-            for vkey in self.extension[ikey]:
-                if set(vkey) <= set(ukey):
-                    out.append((ikey, vkey))
-        return tuple(sorted(out))
+        out = self._ind.get(pair)
+        if out is None:
+            hkey, ukey = pair
+            out = self._ind[pair] = tuple(sorted(
+                (ikey, vkey) for ikey in self.system.ind_set(hkey)
+                for vkey in self.extension[ikey] if set(vkey) <= set(ukey)))
+        return out
 
     def conjugate(self, g: int, pair: PairKey) -> PairKey:
         sys = self.system
@@ -121,13 +120,10 @@ class Spectrum:
         return [u for u in self.extension[hkey] if r.element_set <= set(u)]
 
     def _check_l_coherent(self) -> bool:
-        for hkey in self.system.points():
-            exts = self.extension[hkey]
-            for u1 in exts:
-                for u2 in exts:
-                    if set(u2) <= set(u1) and (hkey, u2) not in self.ind_set((hkey, u1)):
-                        return False
-        return True
+        return all((hkey, u2) in self.ind_set((hkey, u1))
+                   for hkey in self.system.points()
+                   for u1 in self.extension[hkey] for u2 in self.extension[hkey]
+                   if set(u2) <= set(u1))
 
     def _check_i_coherent(self) -> bool:
         sys = self.system
@@ -493,8 +489,7 @@ def _prime_independence(c: RicFunctor, v: ValuationFamily, hkey, ukey) -> bool:
     """All primes of C(H) agree mod ind C(U): ker(v_H) <= Im(ind_{H,U})."""
     kernel, emb = hom_kernel(v.components[hkey])
     norm_gens = c.ind[(hkey, ukey)].image_generators()
-    return all(subgroup_contains(c.values[hkey], norm_gens, col)
-               for col in emb.image_generators())
+    return subgroup_contains(c.values[hkey], norm_gens, *emb.image_generators())
 
 
 def unramified_upsilon(c: RicFunctor, v: ValuationFamily,
@@ -618,11 +613,11 @@ def upsilon_tilde(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     if certify_prime_independence:
         kernel, emb = hom_kernel(v.components[skey])
         norm_gens = c.ind[(hkey, ukey)].image_generators()
-        for col in emb.image_generators():
-            shifted = c.ind[(hkey, skey)](c.values[skey].scale(pprime, col))
-            if not subgroup_contains(c.values[hkey], norm_gens, shifted):
-                raise NotUrFnd(
-                    f"prime choice leaks through at Sigma={skey}, pair={pair}")
+        shifted = [c.ind[(hkey, skey)](c.values[skey].scale(pprime, col))
+                   for col in emb.image_generators()]
+        if not subgroup_contains(c.values[hkey], norm_gens, *shifted):
+            raise NotUrFnd(
+                f"prime choice leaks through at Sigma={skey}, pair={pair}")
     return value, target, proj
 
 
@@ -671,22 +666,33 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
         if len(set(vals)) != 1:
             lift_ok = False
         coset_values[rep] = vals[0]
-    cols = []
-    for rep in cmap.gen_reps:
+    cols, missing = [], []
+    for i, rep in enumerate(cmap.gen_reps):
         # any U-coset inside the source class of the generator will do
         candidates = sorted(
             min(grp.table[grp.mul(rep, w)][x] for x in u.elements)
             for w in n_sub.elements)
         chosen = next((r for r in candidates if r in coset_values), None)
         if chosen is None:
+            missing.append(i)
+        cols.append(None if chosen is None else list(coset_values[chosen]))
+    if missing:
+        # no lift in the generator's class: its value is forced by
+        # multiplicativity, e_i = sum x_j cmap(rep_j) over the lifted cosets
+        free = FgAbGroup(len(coset_values))
+        span = AbHom.from_columns(free, source, [list(cmap(r)) for r in coset_values])
+        value_of = AbHom.from_columns(free, target,
+                                      [list(v) for v in coset_values.values()])
+        xs = element_preimages(span, [identity_matrix(source.rank)[i] for i in missing])
+        if xs is None:
             raise NoLiftInModel(
-                f"no Frobenius lift reaches the generator class of {rep}")
-        cols.append(list(coset_values[chosen]))
+                "the cosets with a Frobenius lift do not generate (H/U)^ab")
+        for i, x in zip(missing, xs):
+            cols[i] = list(value_of(x))
     m = AbHom.from_columns(source, target, cols)
     # the matrix must reproduce every available coset value; this is the
     # well-definedness of the induced map on (H/U)^ab
-    consistent = all(
-        m(cmap(rep)) == val for rep, val in coset_values.items())
+    consistent = all(m(cmap(rep)) == val for rep, val in coset_values.items())
     return ReciprocityTable(pair, source, cmap, target, proj, m,
                             is_iso=is_isomorphism(m) and consistent,
                             lift_independent=lift_ok,
@@ -808,39 +814,38 @@ def lattice_property_check(assignment: ExtensionAssignment, spectrum: Spectrum,
         exts = spectrum.extension[hkey]
         amb = assignment.ambient[hkey]
         ext_r = set(map(tuple, spectrum.ext_r(hkey, rsys)))
-        for u1 in exts:
-            for u2 in exts:
-                g1 = assignment.subgroups[(hkey, u1)]
-                g2 = assignment.subgroups[(hkey, u2)]
-                if set(u2) <= set(u1):
-                    mono = all(subgroup_contains(amb, g1, x) for x in g2)
-                    if not mono:
-                        report.add("monotone", False, (hkey, u1, u2))
-                        return report
-                if u1 not in ext_r or u2 not in ext_r:
+        key = {u: subgroup_key(amb, assignment.subgroups[(hkey, u)])
+               for u in exts}
+        for i, u1 in enumerate(exts):
+            k1 = key[u1]
+            for j, u2 in enumerate(exts):
+                k2 = key[u2]
+                if set(u2) <= set(u1) and not subgroup_contains(amb, k1, *k2):
+                    report.add("monotone", False, (hkey, u1, u2))
+                    return report
+                # Both laws are symmetric: each unordered pair is checked at
+                # j >= i.  Had (U2, U1) failed, the scan returned there, before
+                # (U1, U2), so every witness is the ordered scan's first one.
+                if j < i or u1 not in ext_r or u2 not in ext_r:
                     continue
                 prod = tuple(sorted(
                     grp.generated_subgroup(list(u1) + list(u2)).elements))
                 cap = tuple(sorted(set(u1) & set(u2)))
-                if prod in exts:
-                    lhs = assignment.subgroups[(hkey, prod)]
-                    if not subgroups_equal(amb, lhs, g1 + g2):
-                        report.add("product_law", False, (hkey, u1, u2))
-                        return report
-                if cap in exts:
-                    lhs = assignment.subgroups[(hkey, cap)]
-                    rhs = subgroup_intersection(amb, g1, g2)
-                    if not subgroups_equal(amb, lhs, rhs):
-                        report.add("intersection_law", False, (hkey, u1, u2))
-                        return report
-        # injectivity on the R-lattice
-        r_list = sorted(ext_r)
-        for i, u1 in enumerate(r_list):
-            for u2 in r_list[i + 1:]:
-                if subgroups_equal(amb, assignment.subgroups[(hkey, u1)],
-                                   assignment.subgroups[(hkey, u2)]):
-                    report.add("r_lattice_injective", False, (hkey, u1, u2))
+                if prod in exts and key[prod] != subgroup_key(amb, k1 + k2):
+                    report.add("product_law", False, (hkey, u1, u2))
                     return report
+                if cap in exts and key[cap] != subgroup_key(
+                        amb, subgroup_intersection(amb, k1, k2)):
+                    report.add("intersection_law", False, (hkey, u1, u2))
+                    return report
+        # R-lattice injectivity: the first two members of the earliest tie
+        by_key = {}
+        for u in sorted(ext_r):
+            by_key.setdefault(key[u], []).append(u)
+        tie = next((us for us in by_key.values() if len(us) > 1), None)
+        if tie is not None:
+            report.add("r_lattice_injective", False, (hkey, tie[0], tie[1]))
+            return report
     report.add("monotone", True)
     report.add("product_law", True)
     report.add("intersection_law", True)

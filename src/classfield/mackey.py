@@ -594,21 +594,18 @@ def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
     for x in dom.points():
         gens = sub_gens.get(x, [])
         for y in dom.res_set(x):
-            for v in gens:
-                if not subgroup_contains(phi.values[y], sub_gens.get(y, []),
-                                         phi.res[(y, x)](v)):
-                    raise NotSubfunctor(f"res edge ({y},{x}) escapes subfunctor")
+            if not subgroup_contains(phi.values[y], sub_gens.get(y, []),
+                                     *map(phi.res[(y, x)], gens)):
+                raise NotSubfunctor(f"res edge ({y},{x}) escapes subfunctor")
         for g in range(grp.order):
             gx = dom.conjugate(g, x)
-            for v in gens:
-                if not subgroup_contains(phi.values[gx], sub_gens.get(gx, []),
-                                         phi.con[(g, x)](v)):
-                    raise NotSubfunctor(f"con edge ({g},{x}) escapes subfunctor")
+            if not subgroup_contains(phi.values[gx], sub_gens.get(gx, []),
+                                     *map(phi.con[(g, x)], gens)):
+                raise NotSubfunctor(f"con edge ({g},{x}) escapes subfunctor")
         for y in dom.ind_set(x):
-            for v in sub_gens.get(y, []):
-                if not subgroup_contains(phi.values[x], gens,
-                                         phi.ind[(x, y)](v)):
-                    raise NotSubfunctor(f"ind edge ({x},{y}) escapes subfunctor")
+            if not subgroup_contains(phi.values[x], gens,
+                                     *map(phi.ind[(x, y)], sub_gens.get(y, []))):
+                raise NotSubfunctor(f"ind edge ({x},{y}) escapes subfunctor")
     values, projs, lifts = {}, {}, {}
     for x in dom.points():
         values[x], projs[x] = quotient(phi.values[x], sub_gens.get(x, []))

@@ -1,4 +1,5 @@
 import math
+import signal
 from itertools import product
 
 import pytest
@@ -10,9 +11,10 @@ from sympy.matrices.normalforms import hermite_normal_form
 from classfield.abelian import (
     _hnf_key, _matmul, AbHom, FgAbGroup, element_preimages, group_order,
     hom_cokernel, hom_image, hom_kernel, invert_isomorphism, is_injective,
-    is_isomorphism, is_surjective, mat_mul, quotient, smith_decompose,
-    solve_integer, subgroup_contains, subgroup_elements,
-    subgroup_from_generators, subgroup_intersection, subgroups_equal,
+    is_isomorphism, is_surjective, lattice_preimage, mat_mul, quotient,
+    smith_decompose, solve_integer, subgroup_contains, subgroup_elements,
+    subgroup_from_generators, subgroup_intersection, subgroup_key,
+    subgroups_equal,
 )
 
 from oracles import enumerate_value
@@ -312,6 +314,29 @@ class TestHermiteKey:
         y = combination(data, group, gens_a)
         assert subgroup_contains(group, inter, y) == snf_contains(group, gens_b, y)
 
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_keys_stand_in_for_their_generators(self, group, data):
+        # the lattice check asks every question of keys, never of generators
+        gens_a = draw_vectors(data, group, 3)
+        gens_b = draw_vectors(data, group, 3)
+        key_a, key_b = subgroup_key(group, gens_a), subgroup_key(group, gens_b)
+        assert key_a == _hnf_key(group.moduli, gens_a)
+        assert subgroup_key(group, key_a + key_b) == subgroup_key(group, gens_a + gens_b)
+        assert (subgroup_key(group, subgroup_intersection(group, key_a, key_b))
+                == subgroup_key(group, subgroup_intersection(group, gens_a, gens_b)))
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contains_many_is_all_of_contains_one(self, group, data):
+        gens = draw_vectors(data, group, 3)
+        vec = st.lists(st.integers(-12, 12), min_size=group.rank, max_size=group.rank)
+        n = data.draw(st.integers(0, 4))
+        xs = [data.draw(vec) if data.draw(st.booleans())
+              else combination(data, group, gens) for _ in range(n)]
+        assert subgroup_contains(group, gens, *xs) == all(
+            subgroup_contains(group, gens, x) for x in xs)
+
 
 def draw_hom(data, domain, codomain):
     """A random well-defined hom: torsion column j is killed by its modulus."""
@@ -370,3 +395,33 @@ class TestSolvePerMap:
             assert [h(x) for x in xs] == [b.reduce(y) for y in ys]
         assert is_injective(h) == hom_kernel(h)[0].is_trivial()
         assert is_surjective(h) == hom_cokernel(h)[0].is_trivial()
+
+    # Kernels whose presentation once ran the Smith decomposition of a kernel
+    # basis with entries up to 10**140 and never finished (hypothesis seeds
+    # 5, 10 and 30 of the property above).
+    @pytest.mark.parametrize("data", [
+        {"domain": {"free_rank": 2, "invariant_factors": [4, 8, 16]},
+         "codomain": {"free_rank": 1, "invariant_factors": [4, 8]},
+         "matrix": [[3, 2, 3, 2, 1], [0, 3, 2, 4, 4], [0, 0, 0, 0, -1]]},
+        {"domain": {"free_rank": 2, "invariant_factors": [4, 4, 8]},
+         "codomain": {"free_rank": 0, "invariant_factors": [4, 4, 8]},
+         "matrix": [[3, 0, 0, 0, 3], [3, 3, 0, 1, 2], [0, 0, 7, 6, 4]]},
+        {"domain": {"free_rank": 2, "invariant_factors": [4, 8, 16]},
+         "codomain": {"free_rank": 0, "invariant_factors": [4, 8, 16]},
+         "matrix": [[3, 3, 1, 1, 1], [0, 4, 2, 5, 6], [0, 2, 4, 14, 2]]},
+    ])
+    def test_kernel_presentation_finishes(self, data):
+        def stalled(*_):
+            raise TimeoutError("hom_kernel did not finish in 20 s")
+        h = AbHom.from_json(data)
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(20)
+        try:
+            kernel, embed = hom_kernel(h)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        pre = lattice_preimage(h.matrix, h.codomain.relation_columns(), cols=h.domain.rank)
+        assert is_injective(embed)
+        assert (subgroup_key(h.domain, embed.image_generators())
+                == subgroup_key(h.domain, pre))

@@ -1,10 +1,12 @@
 
+import random
+
 import pytest
 
 from classfield.abelian import (
-    AbHom, FgAbGroup, group_order,
+    AbHom, FgAbGroup, group_order, subgroup_elements,
 )
-from classfield.catalog import cyclic, direct_product, symmetric
+from classfield.catalog import catalog, cyclic, direct_product, symmetric
 from classfield.cft import (
     ImageMismatch, NotUrFnd, Spectrum, ValuationFamily,
     certify_upsilon_tilde_multiplicative, check_class_field_axiom,
@@ -15,6 +17,7 @@ from classfield.cft import (
     unramified_upsilon, upsilon, upsilon_morphism, upsilon_tilde,
     validate_fnd, validate_urfnd, validate_valuation,
 )
+from classfield.groups import FiniteGroup
 from classfield.mackey import (
     FunctorMorphism, NotMackeyCover, fixed_point_functor, full_system,
     permutation_module, quotient_functor, sign_module, trivial_module,
@@ -473,10 +476,11 @@ class TestLattice:
         rep = lattice_property_check(assignment, spec, rsys)
         assert not rep.passed
 
-    # Planted defects: (group, H, point whose subgroup is replaced, the point
-    # it is copied from, expected first failure with its witness).
+    # Planted defects: (group, H, point -- or list of points -- whose
+    # subgroup is replaced, the point it is copied from, expected first
+    # failure with its witness).
     V4, C2C4 = direct_product(cyclic(2), cyclic(2)), direct_product(cyclic(2), cyclic(4))
-    G4, G8 = (0, 1, 2, 3), tuple(range(8))
+    G4, G6, G8 = (0, 1, 2, 3), tuple(range(6)), tuple(range(8))
 
     @pytest.mark.parametrize("group,hkey,target,source,expected", [
         # shrink the product point <a><b> = G down to <a>
@@ -485,6 +489,16 @@ class TestLattice:
         # make two R-lattice entries equal
         (cyclic(4), G4, (0, 2), (0,), ("r_lattice_injective", (G4, (0,), (0, 2)))),
         (C2C4, G4, (0, 2), (0,), ("r_lattice_injective", (G4, (0,), (0, 2)))),
+        # shrink G to 1 under C4, grow 1 to G under S3
+        (cyclic(4), G4, G4, (0,), ("monotone", (G4, G4, (0, 2)))),
+        (symmetric(3), G6, (0,), G6, ("monotone", (G6, (0, 2, 4), (0,)))),
+        # grow <a> to G: <a> and <b> then meet in more than 1
+        (V4, G4, (0, 1), G4, ("intersection_law", (G4, (0, 1), (0, 2)))),
+        (C2C4, G8, G4, G8, ("intersection_law", (G8, G4, (0, 2, 4, 6)))),
+        # three R-lattice entries equal: the first two members are reported
+        (cyclic(4), G4, [(0,), (0, 2)], G4, ("r_lattice_injective", (G4, (0,), G4))),
+        (symmetric(3), G6, [(0,), G6], (0, 2, 4),
+         ("r_lattice_injective", (G6, G6, (0, 2, 4)))),
     ])
     def test_planted_defect_witness(self, group, hkey, target, source, expected):
         sys = full_system(group)
@@ -492,9 +506,134 @@ class TestLattice:
         rsys = commutator_system(sys)
         assignment = tautological_assignment(tautological_cft(spec, rsys))
         assert lattice_property_check(assignment, spec, rsys).passed
-        assignment.subgroups[(hkey, target)] = list(assignment.subgroups[(hkey, source)])
+        for point in target if isinstance(target, list) else [target]:
+            assignment.subgroups[(hkey, point)] = list(assignment.subgroups[(hkey, source)])
         failure = lattice_property_check(assignment, spec, rsys).first_failure()
         assert (failure.name, failure.witness) == expected
+
+    def test_injectivity_reports_the_earliest_tie(self):
+        # U -> UK/K with K = <6> in C12 keeps every lattice law (the subgroup
+        # lattice of a cyclic group is distributive) and has two fibres
+        c12 = cyclic(12)
+        sys = full_system(c12)
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        assignment = tautological_assignment(tautological_cft(spec, rsys))
+        g12 = tuple(range(12))
+        base = dict(assignment.subgroups)
+        for u in spec.extension[g12]:
+            uk = c12.generated_subgroup(list(u) + [6]).elements
+            assignment.subgroups[(g12, u)] = base[(g12, uk)]
+        failure = lattice_property_check(assignment, spec, rsys).first_failure()
+        # fibres {1, <6>} and {<4>, <2>}: the one met first in sorted order
+        assert (failure.name, failure.witness) == (
+            "r_lattice_injective", (g12, (0,), (0, 6)))
+
+    @pytest.mark.parametrize("name", ["D4", "Q8", "C4xC2", "S3"])
+    def test_random_defects_match_ordered_scan(self, name):
+        sys = full_system(catalog()[name])
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        rng = random.Random(f"lattice-defects:{name}")
+        for _ in range(40):
+            assignment = tautological_assignment(tautological_cft(spec, rsys))
+            hkey = rng.choice(sys.points())
+            amb = assignment.ambient[hkey]
+            exts = spec.extension[hkey]
+            if rng.random() < 0.5:  # copy another point's subgroup
+                gens = assignment.subgroups[(hkey, rng.choice(exts))]
+            else:  # or take up to two random elements
+                elements = sorted(amb.elements())
+                gens = rng.sample(elements, rng.randint(0, min(2, len(elements))))
+            assignment.subgroups[(hkey, rng.choice(exts))] = list(map(list, gens))
+            failure = lattice_property_check(assignment, spec, rsys).first_failure()
+            got = None if failure is None else (failure.name, failure.witness)
+            assert got == ordered_scan(assignment, spec, rsys)
+
+
+def ordered_scan(assignment, spectrum, rsys):
+    """First lattice failure of an ordered-pair scan over element sets."""
+    grp = spectrum.group
+    for hkey in spectrum.system.points():
+        exts = spectrum.extension[hkey]
+        amb = assignment.ambient[hkey]
+        ext_r = set(map(tuple, spectrum.ext_r(hkey, rsys)))
+        phi = {u: subgroup_elements(amb, assignment.subgroups[(hkey, u)])
+               for u in exts}
+        for u1 in exts:
+            for u2 in exts:
+                if set(u2) <= set(u1) and not phi[u2] <= phi[u1]:
+                    return "monotone", (hkey, u1, u2)
+                if u1 not in ext_r or u2 not in ext_r:
+                    continue
+                prod = grp.generated_subgroup(list(u1) + list(u2)).elements
+                cap = tuple(sorted(set(u1) & set(u2)))
+                if prod in exts and phi[prod] != subgroup_elements(
+                        amb, list(phi[u1] | phi[u2])):
+                    return "product_law", (hkey, u1, u2)
+                if cap in exts and phi[cap] != phi[u1] & phi[u2]:
+                    return "intersection_law", (hkey, u1, u2)
+        r_list = sorted(ext_r)
+        for i, u1 in enumerate(r_list):
+            for u2 in r_list[i + 1:]:
+                if phi[u1] == phi[u2]:
+                    return "r_lattice_injective", (hkey, u1, u2)
+    return None
+
+
+def relabeled(table, seed):
+    """The same group with elements 1..n-1 permuted by a seeded shuffle."""
+    n = len(table)
+    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out, perm
+
+
+def norm_subgroup_verdicts(table, d):
+    """Upsilon tables and lattice verdicts of trivial Z on the full spectrum."""
+    group = FiniteGroup(table, validate=False)
+    datum, sys, c, vfam = trivial_z_setup(group, group.order, d)
+    spec = Spectrum(sys, full_extension(sys))
+    rsys = commutator_system(sys)
+    morphism, tables = upsilon_morphism(c, vfam, datum, spec, rsys,
+                                        fnd_validated=True)
+    rep = lattice_property_check(
+        norm_subgroup_assignment(induction_representation(c, spec)), spec, rsys,
+        iso=morphism)
+    return [(ch.name, ch.passed) for ch in rep.checks], tables
+
+
+class TestLabelIndependence:
+    """Upsilon and the lattice check give one verdict per isomorphism class.
+
+    The generators of (H/U)^ab are the least elements of their classes, so
+    which coset classes hold a generator depends on the labelling; a
+    generator whose class has no Frobenius lift takes the value forced by
+    the lifted cosets.
+    """
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_relabeled_cyclic_matches_catalog_labelling(self, n):
+        reference = norm_subgroup_verdicts(cyclic(n).table, tuple(range(n)))
+        checks, tables = reference
+        assert all(passed for _, passed in checks)
+        for seed in range(12):
+            table, perm = relabeled(cyclic(n).table, seed)
+            d = [0] * n
+            for exponent in range(n):
+                d[perm[exponent]] = exponent
+            got_checks, got_tables = norm_subgroup_verdicts(table, tuple(d))
+            assert got_checks == checks, seed
+            for (hkey, ukey), t in tables.items():
+                moved = tuple(tuple(sorted(perm[x] for x in k)) for k in (hkey, ukey))
+                g = got_tables[moved]
+                assert (g.source, g.target, g.is_iso, g.lift_independent,
+                        g.prime_independent) == (t.source, t.target, t.is_iso,
+                                                 t.lift_independent,
+                                                 t.prime_independent), (seed, moved)
 
 
 class TestReducedVerification:
