@@ -429,8 +429,8 @@ class AbHom:
     @staticmethod
     def from_columns(domain: FgAbGroup, codomain: FgAbGroup,
                      cols: list[list[int]]) -> "AbHom":
-        if len(cols) != domain.rank:
-            raise ValueError("one column per domain generator required")
+        if len(cols) != domain.rank or any(len(c) != codomain.rank for c in cols):
+            raise ValueError("need one column per domain generator, of codomain rank")
         return AbHom(domain, codomain,
                      tuple(tuple(col[i] for col in cols) for i in range(codomain.rank)))
 
@@ -634,19 +634,19 @@ def subgroups_equal(ambient: FgAbGroup, gens_a: list, gens_b: list) -> bool:
     return subgroup_key(ambient, gens_a) == subgroup_key(ambient, gens_b)
 
 
-def subgroup_intersection(ambient: FgAbGroup, gens_a: list, gens_b: list) -> list:
-    """Generators of the intersection of two subgroups of ``ambient``.
+def subgroup_intersection(ambient: FgAbGroup, gens_a: list, gens_b: list):
+    """``subgroup_key`` of the intersection of two subgroups of ``ambient``.
 
     The rows ``[a | a]`` and ``[b | 0]`` plus the relations in both halves
     span ``{(u + v, u) : u in A, v in B}``.  Its echelon rows that vanish on
     the first half span the vectors ``(0, u)`` with ``u`` in both A and B.
+    Their second halves are echelon and reduced: the key of the intersection.
     """
     k = ambient.rank
     stacked = ([list(g) + list(g) for g in gens_a]
                + [list(g) + [0] * k for g in gens_b])
     key = _hnf_key(ambient.moduli * 2, stacked)
-    out = [ambient.reduce(row[k:]) for row in key if not any(row[:k])]
-    return [list(x) for x in out if any(x)]
+    return tuple(row[k:] for row in key if not any(row[:k]))
 
 
 def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, AbHom]:

@@ -83,7 +83,8 @@ class Spectrum:
                 u = Subgroup(grp, ukey, validate=False)
                 if not set(ukey) <= set(hkey) or not u.is_normal_in(h):
                     raise ValueError(f"{ukey} is not normal in {hkey}")
-            for g in range(grp.order):
+            # one r per coset rH: r*h moves H and each U in E(H) (normal) as r does
+            for g in coset_reps(grp.full_subgroup(), h):
                 img = {sys.conjugate(g, ukey) for ukey in exts}
                 if img != set(self.extension[sys.conjugate(g, hkey)]):
                     raise ValueError("extension sets not conjugation-equivariant")
@@ -131,13 +132,13 @@ class Spectrum:
             exts = set(self.extension[hkey])
             if not exts <= set(sys.ind_set(hkey)):
                 return False
-            h = sys.subgroup(hkey)
+            below = [(u1key, sys.subgroup(u1key).is_normal_in(sys.subgroup(hkey)))
+                     for u1key in sys.points() if set(u1key) <= set(hkey)]
             for ukey in exts:
-                for u1key in sys.points():
-                    if not (set(ukey) <= set(u1key) <= set(hkey)):
+                for u1key, normal in below:
+                    if not set(ukey) <= set(u1key):
                         continue
-                    u1 = sys.subgroup(u1key)
-                    if u1.is_normal_in(h):
+                    if normal:
                         if u1key not in exts or ukey not in self.extension[u1key]:
                             return False
                     # any intermediate subgroup: (I, U) must be an ind edge
@@ -828,14 +829,13 @@ def lattice_property_check(assignment: ExtensionAssignment, spectrum: Spectrum,
                 # (U1, U2), so every witness is the ordered scan's first one.
                 if j < i or u1 not in ext_r or u2 not in ext_r:
                     continue
-                prod = tuple(sorted(
-                    grp.generated_subgroup(list(u1) + list(u2)).elements))
+                # U1 and U2 are normal in H, so U1*U2 is a subgroup
+                prod = tuple(sorted({grp.table[a][b] for a in u1 for b in u2}))
                 cap = tuple(sorted(set(u1) & set(u2)))
                 if prod in exts and key[prod] != subgroup_key(amb, k1 + k2):
                     report.add("product_law", False, (hkey, u1, u2))
                     return report
-                if cap in exts and key[cap] != subgroup_key(
-                        amb, subgroup_intersection(amb, k1, k2)):
+                if cap in exts and key[cap] != subgroup_intersection(amb, k1, k2):
                     report.add("intersection_law", False, (hkey, u1, u2))
                     return report
         # R-lattice injectivity: the first two members of the earliest tie

@@ -38,6 +38,8 @@ from .ramification import (
 )
 from .transfer import commutator_system, transfer
 
+MAX_HRV_SAMPLES = 100_000  # largest "samples" an hrv scenario may ask for
+
 
 class InputError(ValueError):
     pass
@@ -375,8 +377,8 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
     seed = args.seed if args.seed is not None else _int(data.get("seed", 0),
                                                         "hrv seed")
     samples = data.get("samples")
-    if samples is not None and _int(samples, "hrv samples") < 1:
-        raise InputError("hrv samples must be at least 1")
+    if samples is not None and not 1 <= _int(samples, "hrv samples") <= MAX_HRV_SAMPLES:
+        raise InputError(f"hrv samples must be from 1 to {MAX_HRV_SAMPLES}")
     report = Report()
     results: dict = {"checks": [], "valuations": [], "roundtrips": []}
     elements = data.get("elements", [])

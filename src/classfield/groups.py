@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 from .abelian import FgAbGroup, presentation_from_lattice
 
+MAX_INPUT_ORDER = 128  # largest group read by from_json; checking a table is O(n^3)
+
 
 class InvalidReps(ValueError):
     """A supplied double-coset representative set fails the partition check."""
@@ -96,8 +98,9 @@ class FiniteGroup:
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def from_permutations(cls, degree: int, generators, name: str = "G") -> "FiniteGroup":
-        """Group generated by permutations (0-based image lists)."""
+    def from_permutations(cls, degree: int, generators, name: str = "G",
+                          max_order: int | None = None) -> "FiniteGroup":
+        """Group of permutations (0-based image lists); ValueError past max_order."""
         gens = [tuple(g) for g in generators]
         for g in gens:
             if sorted(g) != list(range(degree)):
@@ -114,6 +117,8 @@ class FiniteGroup:
                     index[q] = len(elems)
                     elems.append(q)
                     frontier.append(q)
+                    if max_order is not None and len(elems) > max_order:
+                        raise ValueError(f"group order exceeds the maximum {max_order}")
         n = len(elems)
         table = [[0] * n for _ in range(n)]
         for i, p in enumerate(elems):
@@ -198,9 +203,12 @@ class FiniteGroup:
     @classmethod
     def from_json(cls, data: dict, name: str = "G") -> "FiniteGroup":
         if "cayley_table" in data:
+            if len(data["cayley_table"]) > MAX_INPUT_ORDER:
+                raise ValueError(f"group order exceeds the maximum {MAX_INPUT_ORDER}")
             return cls(data["cayley_table"], name=name)
         if "perm_generators" in data:
-            return cls.from_permutations(data["degree"], data["perm_generators"], name=name)
+            return cls.from_permutations(data["degree"], data["perm_generators"],
+                                         name=name, max_order=MAX_INPUT_ORDER)
         raise ValueError("group data needs 'cayley_table' or 'perm_generators'")
 
 

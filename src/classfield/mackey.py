@@ -490,6 +490,36 @@ def check_cohomological(phi: RicFunctor) -> ValidationReport:
 # built-in functors
 # ---------------------------------------------------------------------------
 
+def _con_per_coset(domain, subgroup_of, build) -> dict:
+    """con_{g,X} for every g in G and point X, one ``build(r, X, rX)`` per coset.
+
+    With H = subgroup_of(X), ``build`` runs once per least representative
+    r of a left coset rH, and its frozen AbHom is stored for every g in
+    rH.  Those maps are equal, entry by entry, to the ones built from g:
+    write g = r*h with h in H.
+      * h fixes X, so gX = rX: H normalises itself, and each U in E(H) of
+        a spectrum point (H, U) is normal in H.
+      * Quotient tables: h*x*h^-1 = x*c with c in [H,H], so g*x*g^-1 and
+        r*x*r^-1 differ by r*c*r^-1 in [rHr^-1, rHr^-1], which the kernel
+        at rX contains, as ``abelian_quotient`` makes it normal with an
+        abelian quotient.  Both give the same reduced coordinates.
+      * Fixed points: the action is a homomorphism (validated, or built as
+        one), so act(g) o emb_H = act(r) o act(h) o emb_H, and act(h)
+        fixes A^H pointwise.  Both right-hand sides have the same reduced
+        columns, so ``factor_through`` returns the same solution.
+    Entries are inserted in the order of g, as a per-element loop would.
+    """
+    grp = domain.group
+    con = {}
+    for x in domain.points():
+        h = subgroup_of(x)
+        maps = {r: build(r, x, domain.conjugate(r, x))
+                for r in coset_reps(grp.full_subgroup(), h)}
+        rep_of = {grp.table[r][a]: r for r in maps for a in h.elements}
+        con.update(((g, x), maps[rep_of[g]]) for g in range(grp.order))
+    return con
+
+
 def quotient_table(domain, subgroup_of, kernels: dict, meta: dict) -> RicFunctor:
     """The functor x -> H/N with H = subgroup_of(x) and N = kernels[x].
 
@@ -501,7 +531,7 @@ def quotient_table(domain, subgroup_of, kernels: dict, meta: dict) -> RicFunctor
     values, coords = {}, {}
     for x in domain.points():
         values[x], coords[x] = abelian_quotient(subgroup_of(x), kernels[x])
-    res, ind, con = {}, {}, {}
+    res, ind = {}, {}
     for x in domain.points():
         cmap_x = coords[x]
         for y in domain.res_set(x):
@@ -514,10 +544,9 @@ def quotient_table(domain, subgroup_of, kernels: dict, meta: dict) -> RicFunctor
         for y in domain.ind_set(x):
             cols = [list(cmap_x(rep)) for rep in coords[y].gen_reps]
             ind[(x, y)] = AbHom.from_columns(values[y], values[x], cols)
-        for g in range(grp.order):
-            gx = domain.conjugate(g, x)
-            cols = [list(coords[gx](grp.conj(g, rep))) for rep in cmap_x.gen_reps]
-            con[(g, x)] = AbHom.from_columns(values[x], values[gx], cols)
+    con = _con_per_coset(domain, subgroup_of, lambda g, x, gx: AbHom.from_columns(
+        values[x], values[gx],
+        [list(coords[gx](grp.conj(g, rep))) for rep in coords[x].gen_reps]))
     return RicFunctor(domain, values, res, ind, con, meta=dict(meta, coords=coords))
 
 
@@ -531,13 +560,12 @@ def abelianization_functor(system: SubgroupSystem,
 
 def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
     """A_*: H -> A^H with inclusion restrictions and norm inductions."""
-    grp = system.group
     amb = module.underlying
     values, embeds = {}, {}
     for key in system.points():
         fixed, emb = fixed_subgroup(amb, [module.action[a] for a in key])
         values[key], embeds[key] = fixed, emb
-    res, ind, con = {}, {}, {}
+    res, ind = {}, {}
     for hkey in system.points():
         emb_h = embeds[hkey]
         for ikey in system.res_set(hkey):
@@ -551,10 +579,8 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
                 norm = norm.add(module.action[r])
             ind[(hkey, ikey)] = factor_through(
                 emb_h, norm.compose(embeds[ikey]))
-        for g in range(grp.order):
-            gkey = system.conjugate(g, hkey)
-            con[(g, hkey)] = factor_through(
-                embeds[gkey], module.action[g].compose(emb_h))
+    con = _con_per_coset(system, system.subgroup, lambda g, x, gx: factor_through(
+        embeds[gx], module.action[g].compose(embeds[x])))
     return RicFunctor(system, values, res, ind, con,
                       meta={"kind": "fixed_point", "module": module,
                             "embeddings": embeds})

@@ -119,10 +119,12 @@ def _subgroup_as_group(h: Subgroup) -> _AsGroup:
 def _pretransfers(h: Subgroup, i: Subgroup, xs) -> list[int]:
     """Pretransfer from h to its subgroup i of each x in xs, in the parent."""
     sub = _subgroup_as_group(h)
-    inner_i = Subgroup(sub.group, [sub.index[e] for e in i.elements], validate=False)
-    t = right_transversal(sub.group, inner_i)
-    return [sub.elements[pretransfer(sub.group, inner_i, t, sub.index[x])]
-            for x in xs]
+    key = ("inner_transversal", i.elements)  # built once per (h, i)
+    if key not in sub.group._cache:
+        inner_i = Subgroup(sub.group, [sub.index[e] for e in i.elements], validate=False)
+        sub.group._cache[key] = right_transversal(sub.group, inner_i)
+    t = sub.group._cache[key]
+    return [sub.elements[pretransfer(sub.group, t.subgroup, t, sub.index[x])] for x in xs]
 
 
 def lambda_exponent(g: FiniteGroup, h: Subgroup, x: int, rho: int) -> int:

@@ -112,6 +112,14 @@ class TestHoms:
         assert f.compose(g).compose(h) == f.compose(g.compose(h))
         assert f.compose(AbHom.identity(a)) == f
 
+    def test_from_columns_needs_columns_of_codomain_rank(self):
+        z, c2 = FgAbGroup(1), FgAbGroup(0, (2,))
+        for cod, cols in ((c2, [[1, 5, 7]]), (FgAbGroup(0, (2, 2)), [[1]]),
+                          (c2, [[]])):
+            with pytest.raises(ValueError, match="codomain rank"):
+                AbHom.from_columns(z, cod, cols)
+        assert AbHom.from_columns(z, c2, [[5]]).matrix == ((1,),)
+
     def test_kernel_injective_map(self):
         Z = FgAbGroup(1)
         k, _ = hom_kernel(AbHom(Z, Z, ((2,),)))
@@ -313,6 +321,23 @@ class TestHermiteKey:
             assert snf_contains(group, gens_a, g) and snf_contains(group, gens_b, g)
         y = combination(data, group, gens_a)
         assert subgroup_contains(group, inter, y) == snf_contains(group, gens_b, y)
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_is_the_key_of_its_generators(self, group, data):
+        # the lattice check compares this result with a key as it is
+        gens_a = draw_vectors(data, group, 3)
+        gens_b = draw_vectors(data, group, 3)
+        got = subgroup_intersection(group, gens_a, gens_b)
+        k = group.rank
+        doubled = _hnf_key(group.moduli * 2, [list(g) + list(g) for g in gens_a]
+                           + [list(g) + [0] * k for g in gens_b])
+        old = [list(group.reduce(row[k:])) for row in doubled if not any(row[:k])]
+        assert got == subgroup_key(group, [g for g in old if any(g)])
+        if group.is_finite():
+            both = (subgroup_elements(group, gens_a)
+                    & subgroup_elements(group, gens_b))
+            assert got == subgroup_key(group, sorted(both))
 
     @given(ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)

@@ -79,6 +79,27 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum(sys, broken)
 
+    def test_equivariance_broken_only_outside_h(self, group_catalog):
+        # E(H) for a Klein four-group H normal in D4 drops one of two
+        # subgroups of order 2 that are conjugate in D4: every h in H fixes
+        # E(H), and only conjugation from the other coset of H breaks it
+        d4 = group_catalog["D4"]
+        sys = full_system(d4)
+        ext = full_extension(sys)
+        ukey = next(k for k in sys.points()
+                    if len(k) == 2 and not sys.subgroup(k).is_normal())
+        hkey = next(k for k in sys.points() if len(k) == 4 and set(ukey) < set(k))
+        h = sys.subgroup(hkey)
+        assert h.is_normal() and ukey in ext[hkey]
+        assert all(sys.conjugate(x, u) in ext[hkey]
+                   for x in h.elements for u in ext[hkey])
+        broken = dict(ext)
+        broken[hkey] = [u for u in ext[hkey] if u != ukey]
+        assert all(sys.conjugate(x, u) in broken[hkey]
+                   for x in h.elements for u in broken[hkey])
+        with pytest.raises(ValueError, match="conjugation-equivariant"):
+            Spectrum(sys, broken)
+
     def test_res_keeps_u_fixed(self):
         datum, sys, _, _ = v4_fixture()
         spec = Spectrum(sys, unramified_extension(sys, datum))
@@ -495,6 +516,10 @@ class TestLattice:
         # grow <a> to G: <a> and <b> then meet in more than 1
         (V4, G4, (0, 1), G4, ("intersection_law", (G4, (0, 1), (0, 2)))),
         (C2C4, G8, G4, G8, ("intersection_law", (G8, G4, (0, 2, 4, 6)))),
+        # non-abelian: grow a Klein four-group of D4 to G; it meets the
+        # other maximal subgroups in more than the centre
+        (catalog()["D4"], G8, (0, 3, 4, 7), G8,
+         ("intersection_law", (G8, (0, 1, 4, 5), (0, 3, 4, 7)))),
         # three R-lattice entries equal: the first two members are reported
         (cyclic(4), G4, [(0,), (0, 2)], G4, ("r_lattice_injective", (G4, (0,), G4))),
         (symmetric(3), G6, [(0,), G6], (0, 2, 4),

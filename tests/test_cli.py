@@ -275,6 +275,57 @@ class TestExitCodeContract:
         assert all(c["status"] == "pass" for c in json.loads(proc.stdout)["checks"])
 
 
+class TestBoundedInput:
+    """A valid input just over a size bound exits 2 and names the bound."""
+
+    def _run(self, tmp_path, sub, data, timeout=20):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        return subprocess.run([sys.executable, "-m", "classfield.cli", sub,
+                               "--input", str(path)],
+                              capture_output=True, text=True, timeout=timeout)
+
+    def test_hrv_samples(self, tmp_path):
+        from classfield.cli import MAX_HRV_SAMPLES
+        data = json.loads((FIXTURES / "hrv_rank2.json").read_text())
+        data.update(samples=MAX_HRV_SAMPLES + 1, tasks=["roundtrip", "axioms"])
+        proc = self._run(tmp_path, "hrv", data)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"input error: hrv samples must be from 1 to "
+                               f"{MAX_HRV_SAMPLES}\n")
+
+    def test_cayley_table_checked_before_validation(self, tmp_path, monkeypatch):
+        from classfield import cli
+        from classfield.groups import MAX_INPUT_ORDER, FiniteGroup
+        n = MAX_INPUT_ORDER + 1
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+
+        def validate(self):
+            raise AssertionError("the O(n^3) table check ran")
+        monkeypatch.setattr(FiniteGroup, "_validate", validate)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"cayley_table": table}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["group", "--input", str(path)]) == 2
+        assert err.getvalue() == ("input error: invalid group data: group order "
+                                  f"exceeds the maximum {MAX_INPUT_ORDER}\n")
+
+    def test_permutation_closure(self, tmp_path):
+        from classfield.groups import MAX_INPUT_ORDER
+        n = MAX_INPUT_ORDER + 1  # one (n)-cycle generates a group of order n
+        cycle = {"degree": n, "perm_generators": [list(range(1, n)) + [0]]}
+        # S12 has 479001600 elements: only a closure that stops as soon as
+        # it passes the bound answers within the timeout
+        s12 = {"degree": 12, "perm_generators": [[1, 0] + list(range(2, 12)),
+                                                 list(range(1, 12)) + [0]]}
+        for group in (cycle, s12):
+            proc = self._run(tmp_path, "group", {"group": group})
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == ("input error: invalid group data: group order "
+                                   f"exceeds the maximum {MAX_INPUT_ORDER}\n")
+
+
 def _scenarios():
     """Valid scenarios for every subcommand, to be mutated by the fuzz test."""
     from classfield.catalog import catalog

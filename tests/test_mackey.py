@@ -1,6 +1,6 @@
 import pytest
 
-from classfield.abelian import AbHom, FgAbGroup, is_isomorphism
+from classfield.abelian import AbHom, FgAbGroup, factor_through, is_isomorphism
 from classfield.catalog import cyclic, direct_product, symmetric
 from classfield.mackey import (
     GModule, InvalidDescentBasis, NotMackeySystem, RicFunctor, SubgroupSystem,
@@ -16,7 +16,7 @@ from classfield.groups import _generating_set
 from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
-from conftest import random_modules
+from conftest import catalog_groups, random_modules
 
 
 def subgroup_key(group, size, pred=lambda h: True):
@@ -603,3 +603,71 @@ class TestReducedRicCheck:
         rep = validate_ric_functor(phi)
         assert not rep.passed
         assert rep.witness == _ric_exhaustive(phi).witness
+
+
+def _con_per_element(phi):
+    """Reference con table of a built-in functor, one map per g in G."""
+    dom = phi.domain
+    grp = dom.group
+    out = {}
+    for x in dom.points():
+        for g in range(grp.order):
+            gx = dom.conjugate(g, x)
+            if phi.meta["kind"] == "fixed_point":
+                emb = phi.meta["embeddings"]
+                out[(g, x)] = factor_through(
+                    emb[gx], phi.meta["module"].action[g].compose(emb[x]))
+            else:
+                coords = phi.meta["coords"]
+                out[(g, x)] = AbHom.from_columns(
+                    phi.values[x], phi.values[gx],
+                    [list(coords[gx](grp.conj(g, rep))) for rep in coords[x].gen_reps])
+    return out
+
+
+class TestConPerCoset:
+    """Builders make con once per coset gH; each entry must be the map g gives."""
+
+    @staticmethod
+    def _functors(group):
+        from classfield.cft import Spectrum, full_extension, tautological_cft
+        sys = full_system(group)
+        rsys = commutator_system(sys)
+        yield abelianization_functor(sys, rsys)
+        yield tautological_cft(Spectrum(sys, full_extension(sys)), rsys)
+        yield fixed_point_functor(trivial_module(group, FgAbGroup(1)), sys)
+        subs = group.all_subgroups()
+        stab = min((h for h in subs if 1 < h.index <= 4),  # non-normal first
+                   key=lambda h: (h.is_normal(), h.index), default=subs[-1])
+        yield fixed_point_functor(permutation_module(group, stab), sys)
+        index2 = [h for h in subs if h.index == 2]
+        if index2:
+            yield fixed_point_functor(sign_module(group, index2[0]), sys)
+            yield fixed_point_functor(permutation_module(
+                group, stab, torsion=3, sign_kernel=index2[-1]), sys)
+
+    @pytest.mark.parametrize("group", catalog_groups(max_order=16) + [symmetric(4)],
+                             ids=lambda g: g.name)
+    def test_con_tables_match_per_element_reference(self, group):
+        for phi in self._functors(group):
+            ref = _con_per_element(phi)
+            assert list(phi.con) == list(ref)
+            for key, m in ref.items():
+                assert phi.con[key] == m, (phi.meta["kind"], key)
+
+    def test_defects_planted_after_the_build_are_caught(self, group_catalog):
+        # entries of one coset share a map; replacing one entry leaves the
+        # others, so stability and the RIC checks see exactly that entry
+        d4 = group_catalog["D4"]
+        for phi in TestConPerCoset._functors(d4):
+            dom = phi.domain
+            x = next(k for k in dom.points()
+                     if len(k[0] if isinstance(k[0], tuple) else k) > 1
+                     and _twist(phi, k) is not None)
+            members = x[0] if isinstance(x[0], tuple) else x
+            h = members[-1]
+            phi.con[(h, x)] = _twist(phi, x)
+            assert phi.con[(0, x)] == AbHom.identity(phi.values[x])
+            rep = check_stability(phi)
+            assert (rep.passed, rep.witness) == (False, (h, x))
+            TestReducedRicCheck._assert_caught(phi)
