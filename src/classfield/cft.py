@@ -165,14 +165,8 @@ def unramified_extension(system: SubgroupSystem, datum: RamificationDatum) -> di
     for hkey in system.points():
         h = system.subgroup(hkey)
         i_h = inertia_subgroup(datum, h).element_set
-        members = []
-        for k in system.points():
-            if not set(k) <= set(hkey):
-                continue
-            u = Subgroup(system.group, k, validate=False)
-            if u.is_normal_in(h) and i_h <= u.element_set:
-                members.append(k)
-        out[hkey] = members
+        out[hkey] = [k for k in system.points() if set(k) <= set(hkey)
+                     and system.subgroup(k).is_normal_in(h) and i_h <= set(k)]
     return out
 
 

@@ -263,9 +263,11 @@ class Subgroup:
         return self.element_set <= other.element_set
 
     def is_normal_in(self, other: "Subgroup") -> bool:
-        p = self.parent
-        return all(p.conj(g, x) in self.element_set
-                   for g in other.elements for x in self.elements)
+        p, key = self.parent, ("normal_in", self.elements, other.elements)
+        if key not in p._cache:
+            p._cache[key] = all(p.conj(g, x) in self.element_set
+                                for g in other.elements for x in self.elements)
+        return p._cache[key]
 
     def is_normal(self) -> bool:
         p = self.parent

@@ -2,8 +2,9 @@
 
 Functors are closed tables: every value (a finitely generated abelian
 group in normal form) and every restriction/induction/conjugation edge
-map (an integer matrix) is materialized at construction, which keeps the
-exhaustive axiom checkers deterministic and the reports serializable.
+map (an integer matrix) is materialized (a quotient table's maps on first
+read), which keeps the exhaustive axiom checkers deterministic and the
+reports serializable.
 
 Built-in functors:
   * quotient_table          -- H -> H/N(H), restriction = transfer; the
@@ -303,7 +304,11 @@ def sign_module(group: FiniteGroup, kernel: Subgroup,
 
 @dataclass
 class RicFunctor:
-    """Closed functor table over a subgroup system or spectrum domain."""
+    """Closed functor table over a subgroup system or spectrum domain.
+
+    A ``deferred`` table builds res, ind and con, validating each map, on the
+    first read of any of them; a build that raises leaves them unset.
+    """
 
     domain: object
     values: dict
@@ -312,8 +317,20 @@ class RicFunctor:
     con: dict    # (g, H) -> AbHom C(H) -> C(^gH)
     meta: dict = field(default_factory=dict)
 
-    def value(self, key):
-        return self.values[key]
+    @classmethod
+    def deferred(cls, domain, values: dict, build, meta: dict) -> RicFunctor:
+        """A table whose ``build()`` returns (res, ind, con) on the first read."""
+        phi = cls.__new__(cls)
+        phi.domain, phi.values, phi.meta, phi._build = domain, values, meta, build
+        return phi
+
+    def __getattr__(self, name):
+        # reached only while an attribute is unset: the maps of a deferred table
+        if name not in ("res", "ind", "con") or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        self.res, self.ind, self.con = self._build()
+        del self._build
+        return self.__dict__[name]
 
 
 def validate_ric_functor(phi: RicFunctor) -> ValidationReport:
@@ -513,9 +530,12 @@ def _con_per_coset(domain, subgroup_of, build) -> dict:
     con = {}
     for x in domain.points():
         h = subgroup_of(x)
-        maps = {r: build(r, x, domain.conjugate(r, x))
-                for r in coset_reps(grp.full_subgroup(), h)}
-        rep_of = {grp.table[r][a]: r for r in maps for a in h.elements}
+        key = ("left_cosets", h.elements)  # shared by every point over H
+        if key not in grp._cache:
+            reps = coset_reps(grp.full_subgroup(), h)
+            grp._cache[key] = reps, {grp.table[r][a]: r for r in reps for a in h.elements}
+        reps, rep_of = grp._cache[key]
+        maps = {r: build(r, x, domain.conjugate(r, x)) for r in reps}
         con.update(((g, x), maps[rep_of[g]]) for g in range(grp.order))
     return con
 
@@ -525,29 +545,34 @@ def quotient_table(domain, subgroup_of, kernels: dict, meta: dict) -> RicFunctor
 
     Restriction along I <= H is the transfer from H to I; induction and
     conjugation are induced by inclusion and conjugation.  ``meta`` gains
-    the coset coordinate maps under "coords".
+    the coset coordinate maps under "coords".  Values are built here; res,
+    ind and con on the first read of any of them, each map validated by
+    ``AbHom.from_columns``.
     """
     grp = domain.group
     values, coords = {}, {}
     for x in domain.points():
         values[x], coords[x] = abelian_quotient(subgroup_of(x), kernels[x])
-    res, ind = {}, {}
-    for x in domain.points():
-        cmap_x = coords[x]
-        for y in domain.res_set(x):
-            if y == x:
-                res[(y, x)] = AbHom.identity(values[x])
-                continue
-            images = _pretransfers(subgroup_of(x), subgroup_of(y), cmap_x.gen_reps)
-            cols = [list(coords[y](v)) for v in images]
-            res[(y, x)] = AbHom.from_columns(values[x], values[y], cols)
-        for y in domain.ind_set(x):
-            cols = [list(cmap_x(rep)) for rep in coords[y].gen_reps]
-            ind[(x, y)] = AbHom.from_columns(values[y], values[x], cols)
-    con = _con_per_coset(domain, subgroup_of, lambda g, x, gx: AbHom.from_columns(
-        values[x], values[gx],
-        [list(coords[gx](grp.conj(g, rep))) for rep in coords[x].gen_reps]))
-    return RicFunctor(domain, values, res, ind, con, meta=dict(meta, coords=coords))
+
+    def build():
+        res, ind = {}, {}
+        for x in domain.points():
+            cmap_x = coords[x]
+            for y in domain.res_set(x):
+                if y == x:
+                    res[(y, x)] = AbHom.identity(values[x])
+                    continue
+                images = _pretransfers(subgroup_of(x), subgroup_of(y), cmap_x.gen_reps)
+                cols = [list(coords[y](v)) for v in images]
+                res[(y, x)] = AbHom.from_columns(values[x], values[y], cols)
+            for y in domain.ind_set(x):
+                cols = [list(cmap_x(rep)) for rep in coords[y].gen_reps]
+                ind[(x, y)] = AbHom.from_columns(values[y], values[x], cols)
+        con = _con_per_coset(domain, subgroup_of, lambda g, x, gx: AbHom.from_columns(
+            values[x], values[gx],
+            [list(coords[gx](grp.conj(g, rep))) for rep in coords[x].gen_reps]))
+        return res, ind, con
+    return RicFunctor.deferred(domain, values, build, dict(meta, coords=coords))
 
 
 def abelianization_functor(system: SubgroupSystem,
@@ -571,14 +596,10 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
         for ikey in system.res_set(hkey):
             res[(ikey, hkey)] = factor_through(embeds[ikey], emb_h)
         for ikey in system.ind_set(hkey):
-            h_sub = system.subgroup(hkey)
-            i_sub = system.subgroup(ikey)
-            reps = coset_reps(h_sub, i_sub)
             norm = AbHom.zero(amb, amb)
-            for r in reps:
+            for r in coset_reps(system.subgroup(hkey), system.subgroup(ikey)):
                 norm = norm.add(module.action[r])
-            ind[(hkey, ikey)] = factor_through(
-                emb_h, norm.compose(embeds[ikey]))
+            ind[(hkey, ikey)] = factor_through(emb_h, norm.compose(embeds[ikey]))
     con = _con_per_coset(system, system.subgroup, lambda g, x, gx: factor_through(
         embeds[gx], module.action[g].compose(embeds[x])))
     return RicFunctor(system, values, res, ind, con,

@@ -283,6 +283,29 @@ class TestNormalCore:
                 assert (g.order // len(core)) <= bound
 
 
+class TestIsNormalIn:
+    def test_memoised_answer_is_the_conjugation_scan(self, group_catalog):
+        # a fresh copy of each group, so the first pass computes every answer
+        # and the second reads it back from the memo
+        for g in group_catalog.values():
+            if g.order > 16:
+                continue
+            g = FiniteGroup(g.table, name=g.name, validate=False)
+            subs = g.all_subgroups()
+            scan = {(u.elements, h.elements): all(
+                        g.table[g.table[a][x]][g.inverse[a]] in u.element_set
+                        for a in h.elements for x in u.elements)
+                    for u in subs for h in subs}
+            for _ in range(2):
+                got = {(u.elements, h.elements): u.is_normal_in(h)
+                       for u in subs for h in subs}
+                assert got == scan, g.name
+            # a second handle on the same elements shares the answer
+            mid = subs[len(subs) // 2]
+            u = Subgroup(g, mid.elements, validate=False)
+            assert u.is_normal_in(g.full_subgroup()) == mid.is_normal()
+
+
 class TestAbelianization:
     def test_s3(self):
         ab, cmap = abelianization(symmetric(3))

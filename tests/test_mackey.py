@@ -10,7 +10,7 @@ from classfield.mackey import (
     functor_to_json, omega_functor, permutation_module, quotient_functor,
     sign_module, system_from_predicate, trivial_module, unramified_system,
     validate_functor_morphism, validate_ric_functor, validate_subgroup_system,
-    NotSubfunctor, _ric_failure,
+    NotSubfunctor, _ric_failure, subgroup_key_to_id,
 )
 from classfield.groups import _generating_set
 from classfield.ramification import RamificationDatum
@@ -671,3 +671,112 @@ class TestConPerCoset:
             rep = check_stability(phi)
             assert (rep.passed, rep.witness) == (False, (h, x))
             TestReducedRicCheck._assert_caught(phi)
+
+
+def _eager_quotient_reference(phi):
+    """res, ind and con of a quotient table, each map built from its definition.
+
+    res is the per-element transfer of ``transfer_between``; ind is induced
+    by inclusion; con is ``_con_per_element``.
+    """
+    from classfield.transfer import transfer_between
+    dom, coords, values = phi.domain, phi.meta["coords"], phi.values
+
+    def sub(x):  # (H, N) at the point x
+        if phi.meta["kind"] == "abelianization":
+            return dom.subgroup(x), phi.meta["system_r"].assignment[x]
+        return dom.system.subgroup(x[0]), phi.meta["kernels"][x]
+
+    res, ind = {}, {}
+    for x in dom.points():
+        h, n_h = sub(x)
+        for y in dom.res_set(x):
+            i, n_i = sub(y)
+            res[(y, x)] = AbHom.from_columns(values[x], values[y], [
+                list(coords[y](transfer_between(i, h, n_i, n_h, rep)))
+                for rep in coords[x].gen_reps])
+        for y in dom.ind_set(x):
+            ind[(x, y)] = AbHom.from_columns(values[y], values[x], [
+                list(coords[x](rep)) for rep in coords[y].gen_reps])
+    return res, ind, _con_per_element(phi)
+
+
+class TestDeferredQuotientTable:
+    """quotient_table builds res, ind and con on the first read of any of them."""
+
+    @staticmethod
+    def _tables(group):
+        from classfield.cft import Spectrum, full_extension, tautological_cft
+        sys = full_system(group)
+        rsys = commutator_system(sys)
+        yield abelianization_functor(sys, rsys)
+        yield tautological_cft(Spectrum(sys, full_extension(sys)), rsys)
+
+    def test_tautological_job_builds_no_map(self, monkeypatch):
+        import sys as _sys
+        from classfield import mackey
+        from classfield.cft import (Spectrum, full_extension, lattice_property_check,
+                                    tautological_assignment, tautological_cft)
+        calls = []
+        original = AbHom.from_columns
+
+        def counted(*args):
+            if _sys._getframe(1).f_code.co_filename == mackey.__file__:
+                calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(AbHom, "from_columns", staticmethod(counted))
+        s4 = full_system(symmetric(4))
+        spec = Spectrum(s4, full_extension(s4))
+        rsys = commutator_system(s4)
+        taut = tautological_cft(spec, rsys)
+        rep = lattice_property_check(tautological_assignment(taut), spec, rsys)
+        assert rep.passed
+        assert calls == []
+        assert len(taut.ind) == sum(len(spec.ind_set(x)) for x in spec.points())
+        assert calls  # the first read ran the build
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "C4xC2", "C12", "S4"])
+    def test_forced_tables_equal_eager_reference(self, group_catalog, name):
+        for phi in self._tables(group_catalog[name]):
+            assert "res" not in vars(phi)
+            for got, ref in zip((phi.res, phi.ind, phi.con),
+                                _eager_quotient_reference(phi)):
+                assert type(got) is dict
+                assert list(got) == list(ref)
+                for key, m in ref.items():
+                    assert got[key] == m, (phi.meta["kind"], key)
+
+    def test_failed_build_raises_on_every_read(self, monkeypatch):
+        # a pretransfer onto the largest element of I: from S3 to A3 that
+        # sends the class of order 2 to one of order 3, which is ill defined
+        from classfield import mackey
+        s3 = full_system(symmetric(3))
+        phi = abelianization_functor(s3, commutator_system(s3))
+        monkeypatch.setattr(mackey, "_pretransfers",
+                            lambda h, i, xs: [max(i.elements)] * len(xs))
+        for name in ("res", "con", "ind", "res"):
+            with pytest.raises(ValueError, match="torsion"):
+                getattr(phi, name)
+            assert not {"res", "ind", "con"} & set(vars(phi))
+        monkeypatch.undo()
+        assert validate_ric_functor(phi).passed
+
+    def test_entries_written_as_the_first_read_are_seen(self, group_catalog):
+        # the write reads phi.res, which builds the tables; the entry written
+        # must then be the one in the table, not one the build put back
+        d4 = full_system(group_catalog["D4"])
+        ref = abelianization_functor(d4, commutator_system(d4))
+        phi = abelianization_functor(d4, commutator_system(d4))
+        top = d4.points()[-1]
+        y = next(y for y in d4.res_set(top) if len(y) == 4 and ref.res[(y, top)]
+                 != AbHom.zero(ref.values[top], ref.values[y]))
+        zero = AbHom.zero(phi.values[top], phi.values[y])
+        phi.res[(y, top)] = zero
+        assert phi.res.get((y, top)) == zero and (y, top) in phi.res
+        assert check_mackey_formula(ref).passed
+        assert not check_mackey_formula(phi).passed
+        ser = functor_to_json(phi)["res"]
+        assert [e["matrix"] for e in ser if (e["from"], e["to"])
+                == (subgroup_key_to_id(top), subgroup_key_to_id(y))] == [
+            [list(r) for r in zero.matrix]]
