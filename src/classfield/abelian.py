@@ -13,10 +13,10 @@ factorizations and inverses solve all their columns at once.  Subgroup
 membership, equality and intersection, and with them surjectivity, compare
 the canonical Hermite normal form of the subgroup's preimage lattice in
 Z^rank (``subgroup_key``).  The key is built once per subgroup, not once
-per query: ``subgroup_contains`` tests many elements against one key, and a
-caller with many questions about one subgroup keeps its key, whose rows
-generate the subgroup.  Everything runs over plain Python integers, so
-there is no overflow and no floating point.
+per query: ``key_contains`` tests many elements against one key, which a
+caller with many questions about one subgroup keeps; its rows generate the
+subgroup.  Everything runs over plain Python integers, so there is no
+overflow and no floating point.
 """
 
 from __future__ import annotations
@@ -617,8 +617,12 @@ def subgroup_key(ambient: FgAbGroup, gens: list) -> tuple[tuple[int, ...], ...]:
 
 def subgroup_contains(ambient: FgAbGroup, gens: list, *xs) -> bool:
     """Is every x in the subgroup of ambient generated by gens?"""
-    key = [(next(i for i, v in enumerate(row) if v), row)
-           for row in subgroup_key(ambient, gens)]
+    return key_contains(ambient, subgroup_key(ambient, gens), *xs)
+
+
+def key_contains(ambient: FgAbGroup, key, *xs) -> bool:
+    """Is every x in the subgroup whose ``subgroup_key`` is key?"""
+    key = [(next(i for i, v in enumerate(row) if v), row) for row in key]
     for x in xs:
         x = list(ambient.reduce(x))
         for c, row in key:

@@ -591,6 +591,12 @@ def upsilon_tilde(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     ind_{H,Sigma}(pi^(P'(mult d_H(h)))) for the Frobenius group Sigma of
     h relative to U.
     """
+    return _upsilon_tilde(c, v, datum, h_elt, pair, tate_h0(c, *pair),
+                          certify_prime_independence)
+
+
+def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify_prime_independence):
+    """``upsilon_tilde`` given h0 = ``tate_h0`` at the pair, kept by callers per pair."""
     hkey, ukey = pair
     sys = c.domain
     h = sys.subgroup(hkey)
@@ -603,7 +609,7 @@ def upsilon_tilde(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     pi = prime_elements_exist(v, skey)
     if pi is None:
         raise NotUrFnd(f"no prime element in C(Sigma) at {skey}")
-    target, proj = tate_h0(c, hkey, ukey)
+    target, proj = h0
     value = proj(c.ind[(hkey, skey)](c.values[skey].scale(pprime, pi)))
     if certify_prime_independence:
         kernel, emb = hom_kernel(v.components[skey])
@@ -635,7 +641,7 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     comm = commutator_subgroup(h)
     n_sub = grp.generated_subgroup(list(ukey) + list(comm.elements))
     source, cmap = abelian_quotient(h, n_sub)
-    target, proj = tate_h0(c, hkey, ukey)
+    h0 = target, proj = tate_h0(c, hkey, ukey)
     if source.is_trivial() and target.is_trivial():
         return ReciprocityTable(pair, source, cmap, target, proj,
                                 AbHom.zero(source, target), is_iso=True,
@@ -651,8 +657,7 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
         vals = []
         for lift in lifts:
             try:
-                val, _, _ = upsilon_tilde(c, v, datum, lift, pair,
-                                          certify_prime_independence=True)
+                val, _, _ = _upsilon_tilde(c, v, datum, lift, pair, h0, True)
             except DepthInsufficient:
                 continue  # this lift's multiplicity exceeds the horizon
             vals.append(val)
@@ -710,9 +715,10 @@ def certify_upsilon_tilde_multiplicative(c: RicFunctor, v: ValuationFamily,
     frob = [x for x in h.elements if d_vals[x] != 0]
     values = {}
     target = None
+    h0 = tate_h0(c, *pair)
     for x in list(frob):
         try:
-            values[x], target, _ = upsilon_tilde(c, v, datum, x, pair)
+            values[x], target, _ = _upsilon_tilde(c, v, datum, x, pair, h0, False)
         except DepthInsufficient:
             frob.remove(x)  # unrepresentable multiplicity: outside the model
     if target is None:

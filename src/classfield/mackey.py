@@ -2,9 +2,10 @@
 
 Functors are closed tables: every value (a finitely generated abelian
 group in normal form) and every restriction/induction/conjugation edge
-map (an integer matrix) is materialized (a quotient table's maps on first
-read), which keeps the exhaustive axiom checkers deterministic and the
-reports serializable.
+map (an integer matrix) is materialized, which keeps the exhaustive axiom
+checkers deterministic and the reports serializable.  The maps of
+``quotient_table`` and ``quotient_functor`` are built, and each validated,
+on the first read of any of them.
 
 Built-in functors:
   * quotient_table          -- H -> H/N(H), restriction = transfer; the
@@ -18,12 +19,13 @@ Built-in functors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import add
 
 from .abelian import (
     FgAbGroup, AbHom, _matmul, element_preimages, factor_through,
-    fixed_subgroup, identity_matrix, is_isomorphism, quotient,
-    subgroup_contains,
+    fixed_subgroup, identity_matrix, is_isomorphism, key_contains, quotient,
+    subgroup_key,
 )
 from .groups import (
     FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps,
@@ -632,42 +634,45 @@ def omega_functor(datum: RamificationDatum, system: SubgroupSystem,
 def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
     """Quotient of phi by the subfunctor spanned by sub_gens per point.
 
-    ``sub_gens[x]`` lists coordinate vectors generating the subvalue at
-    x; the family must be preserved by every edge map (validated,
-    NotSubfunctor on the first failing edge).
+    ``sub_gens[x]`` lists coordinate vectors generating the subvalue at x;
+    every edge map must preserve the family (checked here against one
+    ``subgroup_key`` per point, each distinct (con map, gX) at x once;
+    NotSubfunctor on the first failing edge).  The induced res, ind and con
+    are built on the first read of any of them, each validated then by
+    ``AbHom.from_columns``, once per distinct (map, source, target).
     """
     dom = phi.domain
-    grp = dom.group
+    keys = {x: subgroup_key(phi.values[x], sub_gens.get(x, [])) for x in dom.points()}
     for x in dom.points():
         gens = sub_gens.get(x, [])
         for y in dom.res_set(x):
-            if not subgroup_contains(phi.values[y], sub_gens.get(y, []),
-                                     *map(phi.res[(y, x)], gens)):
+            if not key_contains(phi.values[y], keys[y], *map(phi.res[(y, x)], gens)):
                 raise NotSubfunctor(f"res edge ({y},{x}) escapes subfunctor")
-        for g in range(grp.order):
-            gx = dom.conjugate(g, x)
-            if not subgroup_contains(phi.values[gx], sub_gens.get(gx, []),
-                                     *map(phi.con[(g, x)], gens)):
-                raise NotSubfunctor(f"con edge ({g},{x}) escapes subfunctor")
+        tested = set()  # a skipped g repeats a passed (map, gX)
+        for g in range(dom.group.order):
+            edge = m, gx = phi.con[(g, x)], dom.conjugate(g, x)
+            if edge not in tested:
+                tested.add(edge)
+                if not key_contains(phi.values[gx], keys[gx], *map(m, gens)):
+                    raise NotSubfunctor(f"con edge ({g},{x}) escapes subfunctor")
         for y in dom.ind_set(x):
-            if not subgroup_contains(phi.values[x], gens,
-                                     *map(phi.ind[(x, y)], sub_gens.get(y, []))):
+            if not key_contains(phi.values[x], keys[x],
+                                *map(phi.ind[(x, y)], sub_gens.get(y, []))):
                 raise NotSubfunctor(f"ind edge ({x},{y}) escapes subfunctor")
     values, projs, lifts = {}, {}, {}
     for x in dom.points():
         values[x], projs[x] = quotient(phi.values[x], sub_gens.get(x, []))
         lifts[x] = element_preimages(projs[x], identity_matrix(values[x].rank))
+    res, ind, con = dict(phi.res), dict(phi.ind), dict(phi.con)  # the maps checked
 
-    def induced(m: AbHom, src_key, dst_key) -> AbHom:
-        return AbHom.from_columns(values[src_key], values[dst_key],
-                                  [projs[dst_key](m(lift)) for lift in lifts[src_key]])
-
-    res = {(y, x): induced(m, x, y) for (y, x), m in phi.res.items()}
-    ind = {(x, y): induced(m, y, x) for (x, y), m in phi.ind.items()}
-    con = {(g, x): induced(m, x, dom.conjugate(g, x))
-           for (g, x), m in phi.con.items()}
-    return RicFunctor(dom, values, res, ind, con,
-                      meta={"kind": "quotient", "of": phi, "projections": projs})
+    def build():  # one map per distinct (map, source, target) in each run
+        induced = cache(lambda m, src, dst: AbHom.from_columns(
+            values[src], values[dst], [projs[dst](m(v)) for v in lifts[src]]))
+        return ({(y, x): induced(m, x, y) for (y, x), m in res.items()},
+                {(x, y): induced(m, y, x) for (x, y), m in ind.items()},
+                {(g, x): induced(m, x, dom.conjugate(g, x)) for (g, x), m in con.items()})
+    return RicFunctor.deferred(dom, values, build,
+                               {"kind": "quotient", "of": phi, "projections": projs})
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +690,11 @@ class FunctorMorphism:
 
 
 def validate_functor_morphism(phi: FunctorMorphism) -> ValidationReport:
-    """All res/ind/con squares commute."""
+    """All res/ind/con squares commute; each distinct con square at a point once."""
     src, tgt = phi.source, phi.target
     dom = src.domain
     if tgt.domain is not dom:
         return ValidationReport(False, None, "source and target domains differ")
-    grp = dom.group
     for x in dom.points():
         c = phi.components.get(x)
         if c is None or c.domain != src.values[x] or c.codomain != tgt.values[x]:
@@ -706,12 +710,13 @@ def validate_functor_morphism(phi: FunctorMorphism) -> ValidationReport:
             rhs = tgt.ind[(x, y)].compose(phi.components[y])
             if lhs != rhs:
                 return ValidationReport(False, ("ind", x, y), "ind square fails")
-        for g in range(grp.order):
-            gx = dom.conjugate(g, x)
-            lhs = phi.components[gx].compose(src.con[(g, x)])
-            rhs = tgt.con[(g, x)].compose(phi.components[x])
-            if lhs != rhs:
-                return ValidationReport(False, ("con", g, x), "con square fails")
+        squares = set()  # a skipped g repeats a passed square
+        for g in range(dom.group.order):
+            square = gx, s, t = dom.conjugate(g, x), src.con[(g, x)], tgt.con[(g, x)]
+            if square not in squares:
+                squares.add(square)
+                if phi.components[gx].compose(s) != t.compose(phi.components[x]):
+                    return ValidationReport(False, ("con", g, x), "con square fails")
     return ValidationReport(True)
 
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from classfield.abelian import (
-    AbHom, FgAbGroup, group_order, subgroup_elements,
+    AbHom, FgAbGroup, element_preimage, group_order, identity_matrix,
+    subgroup_contains, subgroup_elements,
 )
 from classfield.catalog import catalog, cyclic, direct_product, symmetric
 from classfield.cft import (
@@ -19,7 +20,7 @@ from classfield.cft import (
 )
 from classfield.groups import FiniteGroup
 from classfield.mackey import (
-    FunctorMorphism, NotMackeyCover, fixed_point_functor, full_system,
+    FunctorMorphism, NotMackeyCover, NotSubfunctor, fixed_point_functor, full_system,
     permutation_module, quotient_functor, sign_module, trivial_module,
     unramified_system, validate_functor_morphism, validate_ric_functor,
 )
@@ -178,6 +179,196 @@ class TestInductionRepresentation:
         spec = Spectrum(full_sys, full_extension(full_sys))
         with pytest.raises(NotMackeyCover):
             induction_representation(c, spec)
+
+
+def _permutation_class_functor(group):
+    """Fixed points of Z[G/K] for the first non-normal K of order 2."""
+    k = next(h for h in group.all_subgroups()
+             if len(h) == 2 and not h.is_normal_in(group.full_subgroup()))
+    return fixed_point_functor(permutation_module(group, k), full_system(group))
+
+
+def _class_functor(name):
+    if name.startswith("C"):
+        group = cyclic(int(name[1:]))
+        return fixed_point_functor(trivial_module(group, FgAbGroup(1)),
+                                   full_system(group))
+    return _permutation_class_functor(catalog()[name])
+
+
+def _eager_induced_reference(rep):
+    """res, ind and con of a quotient functor, each entry built on its own.
+
+    Each generator of the source value is lifted by its own
+    ``element_preimage``; the induced map does not depend on the lift.
+    """
+    phi, projs = rep.meta["of"], rep.meta["projections"]
+
+    def induced(m, src, dst):
+        lifts = [element_preimage(projs[src], e)
+                 for e in identity_matrix(rep.values[src].rank)]
+        return AbHom.from_columns(rep.values[src], rep.values[dst],
+                                  [list(projs[dst](m(lift))) for lift in lifts])
+
+    dom = rep.domain
+    return ({(y, x): induced(m, x, y) for (y, x), m in phi.res.items()},
+            {(x, y): induced(m, y, x) for (x, y), m in phi.ind.items()},
+            {(g, x): induced(m, x, dom.conjugate(g, x)) for (g, x), m in phi.con.items()})
+
+
+class TestDeferredInductionRepresentation:
+    """quotient_functor checks the subfunctor at once, builds its maps on first read."""
+
+    def test_norm_subgroup_job_builds_no_map(self, monkeypatch):
+        import sys as _sys
+        from classfield import mackey
+        c = _class_functor("C16")
+        sys = c.domain
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        calls = []
+        original = AbHom.from_columns
+
+        def counted(*args):
+            if _sys._getframe(1).f_code.co_filename == mackey.__file__:
+                calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(AbHom, "from_columns", staticmethod(counted))
+        rep = induction_representation(c, spec)
+        report = lattice_property_check(norm_subgroup_assignment(rep), spec, rsys)
+        assert report.passed
+        assert calls == []
+        assert len(rep.con) == len(rep.meta["of"].con)
+        assert calls  # the first read ran the build
+
+    @pytest.mark.parametrize("name", ["C4", "C8", "C12", "C16", "S3", "D4"])
+    def test_forced_tables_equal_eager_reference(self, name):
+        c = _class_functor(name)
+        rep = induction_representation(c, Spectrum(c.domain, full_extension(c.domain)))
+        assert "res" not in vars(rep)
+        for got, ref in zip((rep.res, rep.ind, rep.con), _eager_induced_reference(rep)):
+            assert type(got) is dict
+            assert list(got) == list(ref)
+            for key, m in ref.items():
+                assert got[key] == m, (name, key)
+
+    def test_failed_build_raises_on_every_read(self, monkeypatch):
+        # a projection onto Z/4 sending everything to 1: the induced ind
+        # from (C2, 1), whose value is Z/2, no longer respects torsion
+        c = _class_functor("C4")
+        rep = induction_representation(c, Spectrum(c.domain, full_extension(c.domain)))
+        top = ((0, 1, 2, 3), (0,))
+        assert rep.values[top] == FgAbGroup(0, (4,))
+        monkeypatch.setitem(rep.meta["projections"], top, lambda v: (1,))
+        for name in ("ind", "con", "res", "ind"):
+            with pytest.raises(ValueError, match="torsion"):
+                getattr(rep, name)
+            assert not {"res", "ind", "con"} & set(vars(rep))
+        monkeypatch.undo()
+        assert validate_ric_functor(rep).passed
+        for got, ref in zip((rep.res, rep.ind, rep.con), _eager_induced_reference(rep)):
+            assert got == ref
+
+    def test_not_subfunctor_raised_at_construction(self):
+        # all of C(G) at (G, 1): res to (C2, 1) sends 1 outside 2Z
+        c = _class_functor("C4")
+        spec = Spectrum(c.domain, full_extension(c.domain))
+        lifted = lift_to_spectrum(c, spec)
+        sub = {pair: c.ind[pair].image_generators() for pair in spec.points()}
+        sub[((0, 1, 2, 3), (0,))] = [[1]]
+        with pytest.raises(NotSubfunctor, match=r"res edge \(\(\(0, 2\), \(0,\)\)"):
+            quotient_functor(lifted, sub)
+
+
+def _largest_in_a_coset(group, h):
+    """The largest element of the left coset rH of the least r outside H."""
+    r = min(x for x in range(group.order) if x not in h)
+    return max(group.table[r][a] for a in h)
+
+
+def _first_failing_square(phi):
+    """The witness of a scan over every res, ind and con square, g by g."""
+    src, tgt, comp = phi.source, phi.target, phi.components
+    dom = src.domain
+    for x in dom.points():
+        for y in dom.res_set(x):
+            if comp[y].compose(src.res[(y, x)]) != tgt.res[(y, x)].compose(comp[x]):
+                return ("res", y, x)
+        for y in dom.ind_set(x):
+            if comp[x].compose(src.ind[(x, y)]) != tgt.ind[(x, y)].compose(comp[y]):
+                return ("ind", x, y)
+        for g in range(dom.group.order):
+            gx = dom.conjugate(g, x)
+            if comp[gx].compose(src.con[(g, x)]) != tgt.con[(g, x)].compose(comp[x]):
+                return ("con", g, x)
+    return None
+
+
+class TestConDeduplication:
+    """A con map is checked once per distinct (map, gX); a planted entry is seen.
+
+    The builders share one map across a coset rH, so a planted map at the
+    largest g of rH differs from the one at r while gX = rX.
+    """
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_quotient_functor_names_the_planted_con(self, name):
+        c = _class_functor(name)
+        spec = Spectrum(c.domain, full_extension(c.domain))
+        lifted = lift_to_spectrum(c, spec)
+        sub = {pair: c.ind[pair].image_generators() for pair in spec.points()}
+        grp = spec.group
+        planted = None
+        for x in spec.points():
+            h = spec.system.subgroup(x[0])
+            if len(h) == 1 or len(h) == grp.order:
+                continue
+            g = _largest_in_a_coset(grp, h.elements)
+            gx = spec.conjugate(g, x)
+            src, dst = lifted.values[x], lifted.values[gx]
+            for i in range(dst.rank):
+                for j in range(src.rank):
+                    m = AbHom.from_columns(src, dst, [
+                        [int(k == i and col == j) for k in range(dst.rank)]
+                        for col in range(src.rank)])
+                    if not subgroup_contains(dst, sub[gx], *map(m, sub[x])):
+                        planted = g, x, m
+                        break
+                if planted:
+                    break
+            if planted:
+                break
+        assert planted is not None
+        g, x, m = planted
+        rep = quotient_functor(lifted, sub)  # the unplanted family is a subfunctor
+        lifted.con[(g, x)] = m
+        with pytest.raises(NotSubfunctor) as err:
+            quotient_functor(lifted, sub)
+        assert str(err.value) == f"con edge ({g},{x}) escapes subfunctor"
+        # rep induces the maps it checked, not ones written to lifted later
+        r = min(grp.table[g][a] for a in x[0])
+        assert rep.con[(g, x)] == rep.con[(r, x)]
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_validate_functor_morphism_reports_the_scan_witness(self, n):
+        datum, sys, c, vfam = trivial_z_setup(cyclic(n), n, tuple(range(n)))
+        spec = Spectrum(sys, full_extension(sys))
+        morphism, _ = upsilon_morphism(c, vfam, datum, spec, commutator_system(sys),
+                                       fnd_validated=True)
+        assert validate_functor_morphism(morphism).passed
+        assert _first_failing_square(morphism) is None
+        tgt = morphism.target
+        x = next(p for p in spec.points() if 1 < len(p[0]) < n
+                 and not tgt.values[p].is_trivial())
+        g = _largest_in_a_coset(spec.group, x[0])
+        gx = spec.conjugate(g, x)
+        assert tgt.con[(g, x)] is tgt.con[(min(x[0]), x)]  # one map per coset
+        tgt.con[(g, x)] = AbHom.zero(tgt.values[x], tgt.values[gx])
+        witness = _first_failing_square(morphism)
+        assert witness == ("con", g, x)
+        report = validate_functor_morphism(morphism)
+        assert (report.passed, report.witness) == (False, witness)
 
 
 class TestTate:
@@ -640,7 +831,7 @@ class TestLabelIndependence:
     the lifted cosets.
     """
 
-    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
     def test_relabeled_cyclic_matches_catalog_labelling(self, n):
         reference = norm_subgroup_verdicts(cyclic(n).table, tuple(range(n)))
         checks, tables = reference
