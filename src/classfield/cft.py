@@ -93,9 +93,11 @@ class Spectrum:
     def points(self):
         return self.pairs
 
+    def subgroup(self, pair: PairKey) -> Subgroup:
+        return self.system.subgroup(pair[0])
+
     def subgroup_pair(self, pair: PairKey):
-        sys = self.system
-        return sys.subgroup(pair[0]), Subgroup(self.group, pair[1], validate=False)
+        return self.subgroup(pair), Subgroup(self.group, pair[1], validate=False)
 
     def res_set(self, pair: PairKey):
         hkey, ukey = pair
@@ -202,9 +204,8 @@ def tautological_cft(spectrum: Spectrum, rsys: AbelianizationSystem) -> RicFunct
     for hkey, ukey in spectrum.points():
         r = rsys.assignment[hkey]
         kernels[(hkey, ukey)] = grp.generated_subgroup(list(ukey) + list(r.elements))
-    return quotient_table(spectrum, lambda pair: spectrum.system.subgroup(pair[0]),
-                          kernels, {"kind": "tautological", "kernels": kernels,
-                                    "system_r": rsys})
+    return quotient_table(spectrum, kernels, {"kind": "tautological", "kernels": kernels,
+                                              "system_r": rsys})
 
 
 def _check_mackey_cover(c: RicFunctor, spectrum: Spectrum):
@@ -623,16 +624,15 @@ def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify_prime_independence):
 
 
 def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
-            pair: PairKey, fnd_validated: bool = False,
-            force: bool = False) -> ReciprocityTable:
+            pair: PairKey, fnd_validated: bool = False) -> ReciprocityTable:
     """Full reciprocity table (H/U)^ab -> H^0-hat(C)(H,U).
 
-    Refuses to run on unvalidated data unless forced, in which case the
-    per-pair certificates are recomputed here: lift independence over
-    every Frobenius lift of every coset, and prime independence.
+    Refuses to run unless ``validate_fnd`` passed (``fnd_validated``).  The
+    per-pair certificates are computed on every call: lift independence
+    over every Frobenius lift of every coset, and prime independence.
     """
-    if not fnd_validated and not force:
-        raise NotUrFnd("run validate_fnd first or pass force=True")
+    if not fnd_validated:
+        raise NotUrFnd("run validate_fnd first or pass fnd_validated=True")
     hkey, ukey = pair
     sys = c.domain
     grp = sys.group
@@ -742,15 +742,14 @@ def certify_upsilon_tilde_multiplicative(c: RicFunctor, v: ValuationFamily,
 def upsilon_morphism(c: RicFunctor, v: ValuationFamily,
                      datum: RamificationDatum, spectrum: Spectrum,
                      rsys: AbelianizationSystem,
-                     fnd_validated: bool = False, force: bool = False):
+                     fnd_validated: bool = False):
     """The reciprocity morphism as a functor morphism, with its tables."""
     source = tautological_cft(spectrum, rsys)
     target = induction_representation(c, spectrum)
     tables = {}
     components = {}
     for pair in spectrum.points():
-        table = upsilon(c, v, datum, pair, fnd_validated=fnd_validated,
-                        force=force)
+        table = upsilon(c, v, datum, pair, fnd_validated=fnd_validated)
         if table.source != source.values[pair]:
             raise AssertionError("source presentation mismatch")
         tables[pair] = table

@@ -351,20 +351,20 @@ def coset_reps(h: Subgroup, i: Subgroup, side: str = "left") -> tuple[int, ...]:
     raise ValueError("side must be 'right' or 'left'")
 
 
-def _transversal(g: FiniteGroup, h: Subgroup, side: str, unitary: bool) -> Transversal:
+def _transversal(g: FiniteGroup, h: Subgroup, side: str) -> Transversal:
     t = Transversal(h, side, coset_reps(g.full_subgroup(), h, side))
-    if unitary and not t.is_unitary:
+    if not t.is_unitary:
         raise AssertionError("minimal-rep transversal must contain the identity")
     return t
 
 
-def right_transversal(g: FiniteGroup, h: Subgroup, unitary: bool = True) -> Transversal:
+def right_transversal(g: FiniteGroup, h: Subgroup) -> Transversal:
     """Deterministic right transversal: minimal element per coset, ascending."""
-    return _transversal(g, h, "right", unitary)
+    return _transversal(g, h, "right")
 
 
-def left_transversal(g: FiniteGroup, h: Subgroup, unitary: bool = True) -> Transversal:
-    return _transversal(g, h, "left", unitary)
+def left_transversal(g: FiniteGroup, h: Subgroup) -> Transversal:
+    return _transversal(g, h, "left")
 
 
 def _rep_of_coset(t: Transversal, g: int) -> int:

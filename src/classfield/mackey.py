@@ -3,13 +3,14 @@
 Functors are closed tables: every value (a finitely generated abelian
 group in normal form) and every restriction/induction/conjugation edge
 map (an integer matrix) is materialized, which keeps the exhaustive axiom
-checkers deterministic and the reports serializable.  The maps of
-``quotient_table`` and ``quotient_functor`` are built, and each validated,
-on the first read of any of them.
+checkers deterministic and the reports serializable.  The built-in
+tables (``stable_table`` and ``quotient_functor``) build their maps, each
+validated, on the first read of any of them.
 
 Built-in functors:
-  * quotient_table          -- H -> H/N(H), restriction = transfer; the
-                               builder behind pi_R and the tautological CFT
+  * stable_table            -- res/ind/con from callbacks, con once per coset
+  * quotient_table          -- H -> H/N(H), restriction = transfer; pi_R
+                               and the tautological CFT
   * abelianization_functor  -- H -> H/R(H), restriction = transfer
   * fixed_point_functor     -- H -> A^H for a G-module A
   * omega_functor           -- constant cyclic value, res = *e, ind = *f
@@ -241,13 +242,9 @@ class GModule:
                 lhs = self.action[a].compose(self.action[b])
                 if lhs != self.action[g.table[a][b]]:
                     raise ValueError(f"action breaks at ({a},{b})")
-        ident = AbHom.identity(self.underlying)
-        if self.action[0] != ident:
+        # the product law and action[1] = id give a o a^-1 = id: automorphisms
+        if self.action[0] != AbHom.identity(self.underlying):
             raise ValueError("identity must act trivially")
-        for a in range(g.order):
-            comp = self.action[a].compose(self.action[g.inverse[a]])
-            if comp != ident:
-                raise ValueError("action maps must be automorphisms")
 
 
 def trivial_module(group: FiniteGroup, underlying: FgAbGroup) -> GModule:
@@ -442,8 +439,7 @@ def check_stability(phi: RicFunctor) -> ValidationReport:
     """con_{h,H} = id for h in H."""
     dom = phi.domain
     for x in dom.points():
-        members = x[0] if isinstance(x[0], tuple) else x
-        for h in members:
+        for h in dom.subgroup(x):
             if phi.con[(h, x)] != AbHom.identity(phi.values[x]):
                 return ValidationReport(False, (h, x), "con_{h,H} != id")
     return ValidationReport(True)
@@ -509,79 +505,81 @@ def check_cohomological(phi: RicFunctor) -> ValidationReport:
 # built-in functors
 # ---------------------------------------------------------------------------
 
-def _con_per_coset(domain, subgroup_of, build) -> dict:
-    """con_{g,X} for every g in G and point X, one ``build(r, X, rX)`` per coset.
+def stable_table(domain, values: dict, res_of, ind_of, con_of,
+                 meta: dict) -> RicFunctor:
+    """A stable table whose res, ind and con are built on the first read of any.
 
-    With H = subgroup_of(X), ``build`` runs once per least representative
-    r of a left coset rH, and its frozen AbHom is stored for every g in
-    rH.  Those maps are equal, entry by entry, to the ones built from g:
-    write g = r*h with h in H.
-      * h fixes X, so gX = rX: H normalises itself, and each U in E(H) of
-        a spectrum point (H, U) is normal in H.
-      * Quotient tables: h*x*h^-1 = x*c with c in [H,H], so g*x*g^-1 and
-        r*x*r^-1 differ by r*c*r^-1 in [rHr^-1, rHr^-1], which the kernel
-        at rX contains, as ``abelian_quotient`` makes it normal with an
+    ``res_of(y, x)`` makes res_{y,x}, ``ind_of(x, y)`` makes ind_{x,y} and
+    ``con_of(r, x, rx)`` makes con_{r,x}, each validating its map.  With
+    H = domain.subgroup(x), ``con_of`` runs once per least representative r
+    of a left coset rH, and its map is stored for every g in rH.  Those maps
+    are equal, entry by entry, to the ones built from g: write g = r*h with
+    h in H.
+      * h fixes x, so gx = rx: H normalises itself, and each U in E(H) of a
+        spectrum point (H, U) is normal in H.
+      * Quotient tables: h*a*h^-1 = a*c with c in [H,H], so g*a*g^-1 and
+        r*a*r^-1 differ by r*c*r^-1 in [rHr^-1, rHr^-1], which the kernel
+        at rx contains, as ``abelian_quotient`` makes it normal with an
         abelian quotient.  Both give the same reduced coordinates.
       * Fixed points: the action is a homomorphism (validated, or built as
         one), so act(g) o emb_H = act(r) o act(h) o emb_H, and act(h)
         fixes A^H pointwise.  Both right-hand sides have the same reduced
         columns, so ``factor_through`` returns the same solution.
+      * Omega_d: every con is the identity.
     Entries are inserted in the order of g, as a per-element loop would.
     """
     grp = domain.group
-    con = {}
-    for x in domain.points():
-        h = subgroup_of(x)
-        key = ("left_cosets", h.elements)  # shared by every point over H
-        if key not in grp._cache:
-            reps = coset_reps(grp.full_subgroup(), h)
-            grp._cache[key] = reps, {grp.table[r][a]: r for r in reps for a in h.elements}
-        reps, rep_of = grp._cache[key]
-        maps = {r: build(r, x, domain.conjugate(r, x)) for r in reps}
-        con.update(((g, x), maps[rep_of[g]]) for g in range(grp.order))
-    return con
-
-
-def quotient_table(domain, subgroup_of, kernels: dict, meta: dict) -> RicFunctor:
-    """The functor x -> H/N with H = subgroup_of(x) and N = kernels[x].
-
-    Restriction along I <= H is the transfer from H to I; induction and
-    conjugation are induced by inclusion and conjugation.  ``meta`` gains
-    the coset coordinate maps under "coords".  Values are built here; res,
-    ind and con on the first read of any of them, each map validated by
-    ``AbHom.from_columns``.
-    """
-    grp = domain.group
-    values, coords = {}, {}
-    for x in domain.points():
-        values[x], coords[x] = abelian_quotient(subgroup_of(x), kernels[x])
 
     def build():
-        res, ind = {}, {}
+        res, ind, con = {}, {}, {}
         for x in domain.points():
-            cmap_x = coords[x]
-            for y in domain.res_set(x):
-                if y == x:
-                    res[(y, x)] = AbHom.identity(values[x])
-                    continue
-                images = _pretransfers(subgroup_of(x), subgroup_of(y), cmap_x.gen_reps)
-                cols = [list(coords[y](v)) for v in images]
-                res[(y, x)] = AbHom.from_columns(values[x], values[y], cols)
-            for y in domain.ind_set(x):
-                cols = [list(cmap_x(rep)) for rep in coords[y].gen_reps]
-                ind[(x, y)] = AbHom.from_columns(values[y], values[x], cols)
-        con = _con_per_coset(domain, subgroup_of, lambda g, x, gx: AbHom.from_columns(
-            values[x], values[gx],
-            [list(coords[gx](grp.conj(g, rep))) for rep in coords[x].gen_reps]))
+            res.update(((y, x), res_of(y, x)) for y in domain.res_set(x))
+            ind.update(((x, y), ind_of(x, y)) for y in domain.ind_set(x))
+            h = domain.subgroup(x)
+            key = ("left_cosets", h.elements)  # shared by every point over H
+            if key not in grp._cache:
+                reps = coset_reps(grp.full_subgroup(), h)
+                grp._cache[key] = reps, {grp.table[r][a]: r for r in reps for a in h}
+            reps, rep_of = grp._cache[key]
+            maps = {r: con_of(r, x, domain.conjugate(r, x)) for r in reps}
+            con.update(((g, x), maps[rep_of[g]]) for g in range(grp.order))
         return res, ind, con
-    return RicFunctor.deferred(domain, values, build, dict(meta, coords=coords))
+    return RicFunctor.deferred(domain, values, build, meta)
+
+
+def quotient_table(domain, kernels: dict, meta: dict) -> RicFunctor:
+    """The stable table x -> H/N with H = domain.subgroup(x) and N = kernels[x].
+
+    Restriction along I <= H is the transfer from H to I; induction and
+    conjugation are induced by inclusion and conjugation, each map made by
+    ``AbHom.from_columns``.  Values are built here; ``meta`` gains the coset
+    coordinate maps under "coords".
+    """
+    values, coords = {}, {}
+    for x in domain.points():
+        values[x], coords[x] = abelian_quotient(domain.subgroup(x), kernels[x])
+
+    def by_reps(src, dst, reps):  # generator i of C(src) to the class of reps[i]
+        return AbHom.from_columns(values[src], values[dst],
+                                  [list(coords[dst](a)) for a in reps])
+
+    def res_of(y, x):
+        if y == x:
+            return AbHom.identity(values[x])
+        return by_reps(x, y, _pretransfers(domain.subgroup(x), domain.subgroup(y),
+                                           coords[x].gen_reps))
+    return stable_table(
+        domain, values, res_of, lambda x, y: by_reps(y, x, coords[y].gen_reps),
+        lambda r, x, rx: by_reps(x, rx, [domain.group.conj(r, a)
+                                         for a in coords[x].gen_reps]),
+        dict(meta, coords=coords))
 
 
 def abelianization_functor(system: SubgroupSystem,
                            rsys: AbelianizationSystem) -> RicFunctor:
     """pi_R: H -> H/R(H), the quotient table of the system by R."""
     kernels = {key: rsys.assignment[key] for key in system.points()}
-    return quotient_table(system, system.subgroup, kernels,
+    return quotient_table(system, kernels,
                           {"kind": "abelianization", "system_r": rsys})
 
 
@@ -590,23 +588,18 @@ def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
     amb = module.underlying
     values, embeds = {}, {}
     for key in system.points():
-        fixed, emb = fixed_subgroup(amb, [module.action[a] for a in key])
-        values[key], embeds[key] = fixed, emb
-    res, ind = {}, {}
-    for hkey in system.points():
-        emb_h = embeds[hkey]
-        for ikey in system.res_set(hkey):
-            res[(ikey, hkey)] = factor_through(embeds[ikey], emb_h)
-        for ikey in system.ind_set(hkey):
-            norm = AbHom.zero(amb, amb)
-            for r in coset_reps(system.subgroup(hkey), system.subgroup(ikey)):
-                norm = norm.add(module.action[r])
-            ind[(hkey, ikey)] = factor_through(emb_h, norm.compose(embeds[ikey]))
-    con = _con_per_coset(system, system.subgroup, lambda g, x, gx: factor_through(
-        embeds[gx], module.action[g].compose(embeds[x])))
-    return RicFunctor(system, values, res, ind, con,
-                      meta={"kind": "fixed_point", "module": module,
-                            "embeddings": embeds})
+        values[key], embeds[key] = fixed_subgroup(
+            amb, [module.action[a] for a in key])
+
+    def ind_of(x, y):
+        norm = AbHom.zero(amb, amb)
+        for r in coset_reps(system.subgroup(x), system.subgroup(y)):
+            norm = norm.add(module.action[r])
+        return factor_through(embeds[x], norm.compose(embeds[y]))
+    return stable_table(
+        system, values, lambda y, x: factor_through(embeds[y], embeds[x]), ind_of,
+        lambda r, x, rx: factor_through(embeds[rx], module.action[r].compose(embeds[x])),
+        {"kind": "fixed_point", "module": module, "embeddings": embeds})
 
 
 def omega_functor(datum: RamificationDatum, system: SubgroupSystem,
@@ -614,21 +607,14 @@ def omega_functor(datum: RamificationDatum, system: SubgroupSystem,
     """Constant cyclic functor with res = *e and ind = *f."""
     if omega.rank > 1:
         raise ValueError("omega must be cyclic (rank at most 1)")
-    grp = system.group
-    values = {key: omega for key in system.points()}
-    res, ind, con = {}, {}, {}
-    for hkey in system.points():
-        h = system.subgroup(hkey)
-        for ikey in system.res_set(hkey):
-            e, _ = degrees(datum, h, system.subgroup(ikey))
-            res[(ikey, hkey)] = AbHom.multiplication(omega, e)
-        for ikey in system.ind_set(hkey):
-            _, f = degrees(datum, h, system.subgroup(ikey))
-            ind[(hkey, ikey)] = AbHom.multiplication(omega, f)
-        for g in range(grp.order):
-            con[(g, hkey)] = AbHom.identity(omega)
-    return RicFunctor(system, values, res, ind, con,
-                      meta={"kind": "omega", "datum": datum})
+
+    def degree(x, y, which):  # e (0) or f (1) of the edge from x down to y
+        return AbHom.multiplication(
+            omega, degrees(datum, system.subgroup(x), system.subgroup(y))[which])
+    return stable_table(
+        system, {key: omega for key in system.points()},
+        lambda y, x: degree(x, y, 0), lambda x, y: degree(x, y, 1),
+        lambda r, x, rx: AbHom.identity(omega), {"kind": "omega", "datum": datum})
 
 
 def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
@@ -808,9 +794,9 @@ class AdjunctionResult:
 def adjunction_maps(module: GModule, phi: RicFunctor, basis) -> AdjunctionResult:
     """Counit for the module and unit for the functor, with iso verdicts."""
     system = phi.domain
-    a_star = fixed_point_functor(module, system)
     n0 = _validate_descent_basis(system, basis)
-    counit = a_star.meta["embeddings"][n0.elements]
+    _, counit = fixed_subgroup(module.underlying,
+                               [module.action[a] for a in n0.elements])
     counit_iso = is_isomorphism(counit)
 
     colim = functor_colimit(phi, basis)

@@ -200,7 +200,8 @@ class TestGModule:
     def test_action_validation(self):
         c2 = cyclic(2)
         z = FgAbGroup(1)
-        with pytest.raises(ValueError):
+        # *2 is not invertible on Z; the product law catches it at (1,1)
+        with pytest.raises(ValueError, match=r"action breaks at \(1,1\)"):
             GModule(c2, z, {0: AbHom.identity(z),
                             1: AbHom.multiplication(z, 2)})
 
@@ -339,6 +340,22 @@ class TestDescentAndAdjunction:
                               [c2.trivial_subgroup()])
         assert not adj.unit_is_iso
         assert adj.unit_witness == gk
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_counit_is_the_fixed_point_embedding_at_n0(self, group_catalog, name):
+        # over the subgroups containing a normal N, the basis {N} has N0 = N
+        g = group_catalog[name]
+        for n in (h for h in g.all_subgroups() if h.is_normal()):
+            base = [h for h in g.all_subgroups() if n.element_set <= h.element_set]
+            below = {h.elements: [k.elements for k in base
+                                  if k.element_set <= h.element_set] for h in base}
+            sys = SubgroupSystem(g, base, below, below)
+            assert validate_subgroup_system(sys).passed
+            for module in random_modules(g, seed=5, count=3):
+                fp = fixed_point_functor(module, sys)
+                adj = adjunction_maps(module, fp, [n])
+                assert adj.counit == fp.meta["embeddings"][n.elements]
+                assert adj.counit_is_iso == is_isomorphism(adj.counit)
 
 
 def subgroup_and(group, size):
@@ -613,7 +630,9 @@ def _con_per_element(phi):
     for x in dom.points():
         for g in range(grp.order):
             gx = dom.conjugate(g, x)
-            if phi.meta["kind"] == "fixed_point":
+            if phi.meta["kind"] == "omega":
+                out[(g, x)] = AbHom.identity(phi.values[x])
+            elif phi.meta["kind"] == "fixed_point":
                 emb = phi.meta["embeddings"]
                 out[(g, x)] = factor_through(
                     emb[gx], phi.meta["module"].action[g].compose(emb[x]))
@@ -645,6 +664,7 @@ class TestConPerCoset:
             yield fixed_point_functor(sign_module(group, index2[0]), sys)
             yield fixed_point_functor(permutation_module(
                 group, stab, torsion=3, sign_kernel=index2[-1]), sys)
+        yield omega_functor(_datum(group), sys, FgAbGroup(1))
 
     @pytest.mark.parametrize("group", catalog_groups(max_order=16) + [symmetric(4)],
                              ids=lambda g: g.name)
@@ -662,10 +682,8 @@ class TestConPerCoset:
         for phi in TestConPerCoset._functors(d4):
             dom = phi.domain
             x = next(k for k in dom.points()
-                     if len(k[0] if isinstance(k[0], tuple) else k) > 1
-                     and _twist(phi, k) is not None)
-            members = x[0] if isinstance(x[0], tuple) else x
-            h = members[-1]
+                     if len(dom.subgroup(k)) > 1 and _twist(phi, k) is not None)
+            h = dom.subgroup(x).elements[-1]
             phi.con[(h, x)] = _twist(phi, x)
             assert phi.con[(0, x)] == AbHom.identity(phi.values[x])
             rep = check_stability(phi)
@@ -673,44 +691,85 @@ class TestConPerCoset:
             TestReducedRicCheck._assert_caught(phi)
 
 
-def _eager_quotient_reference(phi):
-    """res, ind and con of a quotient table, each map built from its definition.
+def _datum(group):
+    """d: G -> Z/m, the last coordinate of G^ab (m = 1 when G^ab is trivial)."""
+    from classfield.groups import abelianization
+    ab, cmap = abelianization(group)
+    m = ab.invariant_factors[-1] if ab.invariant_factors else 1
+    return RamificationDatum(group, m, tuple((cmap(a) or (0,))[-1] % m
+                                             for a in range(group.order)))
 
-    res is the per-element transfer of ``transfer_between``; ind is induced
-    by inclusion; con is ``_con_per_element``.
+
+def _eager_reference(phi):
+    """res, ind and con of a built-in stable table, each map from its definition.
+
+    Quotient tables: res is the per-element transfer of ``transfer_between``,
+    ind is induced by inclusion.  Fixed points: res factors the inclusion
+    A^H <= A^I, ind the norm over the largest element of each coset aI.
+    Omega_d: res = *e and ind = *f with e = |I_H|/|I_I| counted from d and
+    f = [H:I]/e.  con is ``_con_per_element``.
     """
     from classfield.transfer import transfer_between
-    dom, coords, values = phi.domain, phi.meta["coords"], phi.values
+    dom, values, kind = phi.domain, phi.values, phi.meta["kind"]
+    if kind == "fixed_point":
+        emb, module = phi.meta["embeddings"], phi.meta["module"]
 
-    def sub(x):  # (H, N) at the point x
-        if phi.meta["kind"] == "abelianization":
-            return dom.subgroup(x), phi.meta["system_r"].assignment[x]
-        return dom.system.subgroup(x[0]), phi.meta["kernels"][x]
+        def res_map(y, x):
+            return factor_through(emb[y], emb[x])
 
-    res, ind = {}, {}
-    for x in dom.points():
-        h, n_h = sub(x)
-        for y in dom.res_set(x):
-            i, n_i = sub(y)
-            res[(y, x)] = AbHom.from_columns(values[x], values[y], [
+        def ind_map(x, y):
+            table = dom.group.table
+            norm = AbHom.zero(module.underlying, module.underlying)
+            for top in {max(table[a][b] for b in y) for a in x}:
+                norm = norm.add(module.action[top])
+            return factor_through(emb[x], norm.compose(emb[y]))
+    elif kind == "omega":
+        def e(x, y):
+            d = phi.meta["datum"].d
+            return sum(d[a] == 0 for a in x) // sum(d[a] == 0 for a in y)
+
+        def res_map(y, x):
+            return AbHom.multiplication(values[x], e(x, y))
+
+        def ind_map(x, y):
+            return AbHom.multiplication(values[x], len(x) // len(y) // e(x, y))
+    else:
+        coords = phi.meta["coords"]
+
+        def sub(x):  # (H, N) at the point x
+            if kind == "abelianization":
+                return dom.subgroup(x), phi.meta["system_r"].assignment[x]
+            return dom.system.subgroup(x[0]), phi.meta["kernels"][x]
+
+        def res_map(y, x):
+            (h, n_h), (i, n_i) = sub(x), sub(y)
+            return AbHom.from_columns(values[x], values[y], [
                 list(coords[y](transfer_between(i, h, n_i, n_h, rep)))
                 for rep in coords[x].gen_reps])
-        for y in dom.ind_set(x):
-            ind[(x, y)] = AbHom.from_columns(values[y], values[x], [
+
+        def ind_map(x, y):
+            return AbHom.from_columns(values[y], values[x], [
                 list(coords[x](rep)) for rep in coords[y].gen_reps])
+    res, ind = {}, {}
+    for x in dom.points():
+        res.update(((y, x), res_map(y, x)) for y in dom.res_set(x))
+        ind.update(((x, y), ind_map(x, y)) for y in dom.ind_set(x))
     return res, ind, _con_per_element(phi)
 
 
-class TestDeferredQuotientTable:
-    """quotient_table builds res, ind and con on the first read of any of them."""
+def _stable_tables(group):
+    """Each built-in stable table on the full system of group."""
+    from classfield.cft import Spectrum, full_extension, tautological_cft
+    sys = full_system(group)
+    rsys = commutator_system(sys)
+    yield abelianization_functor(sys, rsys)
+    yield tautological_cft(Spectrum(sys, full_extension(sys)), rsys)
+    yield from (fixed_point_functor(m, sys) for m in random_modules(group, seed=9))
+    yield omega_functor(_datum(group), sys, FgAbGroup(0, (4,)))
 
-    @staticmethod
-    def _tables(group):
-        from classfield.cft import Spectrum, full_extension, tautological_cft
-        sys = full_system(group)
-        rsys = commutator_system(sys)
-        yield abelianization_functor(sys, rsys)
-        yield tautological_cft(Spectrum(sys, full_extension(sys)), rsys)
+
+class TestDeferredQuotientTable:
+    """Built-in stable tables build res, ind and con on the first read of any."""
 
     def test_tautological_job_builds_no_map(self, monkeypatch):
         import sys as _sys
@@ -738,10 +797,9 @@ class TestDeferredQuotientTable:
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "C4xC2", "C12", "S4"])
     def test_forced_tables_equal_eager_reference(self, group_catalog, name):
-        for phi in self._tables(group_catalog[name]):
+        for phi in _stable_tables(group_catalog[name]):
             assert "res" not in vars(phi)
-            for got, ref in zip((phi.res, phi.ind, phi.con),
-                                _eager_quotient_reference(phi)):
+            for got, ref in zip((phi.res, phi.ind, phi.con), _eager_reference(phi)):
                 assert type(got) is dict
                 assert list(got) == list(ref)
                 for key, m in ref.items():
@@ -761,6 +819,46 @@ class TestDeferredQuotientTable:
             assert not {"res", "ind", "con"} & set(vars(phi))
         monkeypatch.undo()
         assert validate_ric_functor(phi).passed
+
+    @pytest.mark.parametrize("kind, callee", [
+        ("abelianization", "_pretransfers"), ("fixed_point", "factor_through"),
+        ("omega", "degrees")])
+    def test_no_map_before_the_first_read(self, monkeypatch, group_catalog,
+                                          kind, callee):
+        # the table's build calls ``callee`` for each res edge (y, x) with y < x
+        from classfield import mackey
+        calls = []
+        original = getattr(mackey, callee)
+        monkeypatch.setattr(mackey, callee,
+                            lambda *args: calls.append(args) or original(*args))
+        for phi in _stable_tables(group_catalog["D4"]):
+            if phi.meta["kind"] != kind:
+                continue
+            assert phi.values and phi.meta
+            assert calls == [] and not {"res", "ind", "con"} & set(vars(phi))
+            assert len(phi.con) == len(phi.domain.points()) * 8
+            assert calls and {"res", "ind", "con"} <= set(vars(phi))
+            calls.clear()
+
+    @pytest.mark.parametrize("kind, callee", [("fixed_point", "factor_through"),
+                                              ("omega", "degrees")])
+    def test_failed_callee_raises_on_every_read(self, monkeypatch, group_catalog,
+                                                kind, callee):
+        from classfield import mackey
+
+        def fail(*args):
+            raise ValueError("planted failure")
+        phi = next(t for t in _stable_tables(group_catalog["D4"])
+                   if t.meta["kind"] == kind)
+        monkeypatch.setattr(mackey, callee, fail)
+        for name in ("ind", "con", "res", "ind"):
+            with pytest.raises(ValueError, match="planted failure"):
+                getattr(phi, name)
+            assert not {"res", "ind", "con"} & set(vars(phi))
+        monkeypatch.undo()
+        assert validate_ric_functor(phi).passed
+        ref = _eager_reference(phi)
+        assert (phi.res, phi.ind, phi.con) == ref
 
     def test_entries_written_as_the_first_read_are_seen(self, group_catalog):
         # the write reads phi.res, which builds the tables; the entry written
