@@ -7,9 +7,9 @@ so a coordinate vector for ``FgAbGroup(r, (f1, ..., ft))`` has ``t + r``
 entries and entry ``i < t`` is reduced modulo ``f_i``.
 
 Kernels, preimages, presentations and integer solving go through a
-witnessed Smith normal form, one per map: ``solve_integer`` answers every
-right-hand side of a matrix from a single decomposition, so preimages,
-factorizations and inverses solve all their columns at once.  Subgroup
+witnessed Smith normal form.  One decomposition answers every right-hand
+side, and each ``AbHom`` holds the one that its preimages solve against,
+built on the first query (Cohen, GTM 138, section 2.4).  Subgroup
 membership, equality and intersection, and with them surjectivity, compare
 the canonical Hermite normal form of the subgroup's preimage lattice in
 Z^rank (``subgroup_key``).  The key is built once per subgroup, not once
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iproduct
 from operator import add as _add, mul as _mul
 
@@ -206,17 +207,20 @@ def solve_integer(m: Matrix, bs: list[list[int]],
         cols = len(m[0]) if rows else 0
     if rows == 0 or not bs:
         return [[0] * cols for _ in bs]
-    if cols == 0:
-        return None if any(map(any, bs)) else [[] for _ in bs]
-    snf = smith_decompose(m)
-    diag = snf.diagonal + [0] * (rows - len(snf.diagonal))
+    return _solve(smith_decompose(m), bs)
+
+
+def _solve(snf: SmithDecomposition, bs) -> list[list[int]] | None:
+    """``solve_integer`` against the decomposition of a matrix with rows."""
+    diag = snf.diagonal + [0] * (len(snf.left) - len(snf.diagonal))
+    pad = [0] * (len(snf.right) - len(snf.diagonal))
     xs = []
     for b in bs:
         ub = mat_vec(snf.left, b)
         if any(u % d if d else u for u, d in zip(ub, diag)):
             return None
         y = [u // d if d else 0 for u, d in zip(ub, snf.diagonal)]
-        xs.append(mat_vec(snf.right, y + [0] * (cols - len(y))))
+        xs.append(mat_vec(snf.right, y + pad))
     return xs
 
 
@@ -314,13 +318,8 @@ class FgAbGroup:
 
     def relation_columns(self) -> list[list[int]]:
         """Columns generating the relation lattice in Z^rank."""
-        k = self.rank
-        cols = []
-        for i, f in enumerate(self.invariant_factors):
-            col = [0] * k
-            col[i] = f
-            cols.append(col)
-        return cols
+        return [[f if i == j else 0 for i in range(self.rank)]
+                for j, f in enumerate(self.invariant_factors)]
 
     def __str__(self):
         parts = [f"Z/{f}" for f in self.invariant_factors] + ["Z"] * self.free_rank
@@ -350,7 +349,8 @@ class AbHom:
     """Homomorphism between groups in normal form, as an integer matrix.
 
     Column j holds the image of the j-th canonical domain generator;
-    composition is matrix product.
+    composition is matrix product.  The cached ``_smith`` is not a field, so
+    it takes no part in equality, hashing or ``to_json``.
     """
 
     domain: FgAbGroup
@@ -375,6 +375,12 @@ class AbHom:
                 if (v % cm if cm else v) != 0:
                     raise ValueError(
                         f"column {j} does not respect torsion modulus {f}")
+
+    @cached_property
+    def _smith(self) -> SmithDecomposition:  # of [M | codomain relations]
+        rel = self.codomain.relation_columns()
+        return smith_decompose([list(row) + [col[i] for col in rel]
+                                for i, row in enumerate(self.matrix)])
 
     def __call__(self, vector) -> tuple[int, ...]:
         vector = self.domain.reduce(vector)
@@ -485,27 +491,20 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup,
     ambient group.
     """
     gens = [list(ambient.reduce(g)) for g in gens]
-    if not gens:
-        s = FgAbGroup(0)
-        return s, AbHom(s, ambient, tuple(() for _ in range(ambient.rank)))
     w = columns(gens)
     # kernel bases can be huge and blow up the SNF; the Hermite form is small
     rel = _hnf_key([0] * len(gens),
                    lattice_preimage(w, ambient.relation_columns(), cols=len(gens)))
     s, _, from_new = presentation_from_lattice(len(gens), rel)
-    embed_cols = [ambient.reduce(mat_vec(w, rep)) for rep in from_new]
-    embed = AbHom.from_columns(s, ambient, [list(c) for c in embed_cols])
-    return s, embed
+    return s, AbHom.from_columns(s, ambient, [mat_vec(w, rep) for rep in from_new])
 
 
 def quotient(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup, AbHom]:
     """Quotient of ``ambient`` by the subgroup generated by ``gens``."""
     rel = ambient.relation_columns() + [list(ambient.reduce(g)) for g in gens]
     q, to_new, _ = presentation_from_lattice(ambient.rank, rel)
-    cols = [list(to_new([1 if i == j else 0 for i in range(ambient.rank)]))
-            for j in range(ambient.rank)]
-    proj = AbHom.from_columns(ambient, q, cols)
-    return q, proj
+    cols = [list(to_new(e)) for e in identity_matrix(ambient.rank)]
+    return q, AbHom.from_columns(ambient, q, cols)
 
 
 def hom_kernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
@@ -553,19 +552,17 @@ def invert_isomorphism(h: AbHom) -> AbHom:
 def element_preimages(h: AbHom, ys) -> list[tuple[int, ...]] | None:
     """Some x with h(x) = y for each y in ys, or None when one y has none.
 
-    Every y is solved against one Smith decomposition of ``[M | relations]``.
+    Every y is solved against the map's own decomposition ``h._smith``.
     """
-    rel = h.codomain.relation_columns()
-    stacked = [list(row) + [col[i] for col in rel] for i, row in enumerate(h.matrix)]
-    xs = solve_integer(stacked, [list(h.codomain.reduce(y)) for y in ys],
-                       cols=h.domain.rank + len(rel))
+    if not ys or not h.codomain.rank:
+        return [h.domain.zero() for _ in ys]
+    xs = _solve(h._smith, [list(h.codomain.reduce(y)) for y in ys])
     return None if xs is None else [h.domain.reduce(x[: h.domain.rank]) for x in xs]
 
 
 def element_preimage(h: AbHom, y) -> tuple[int, ...] | None:
     """Some x with h(x) = y, or None."""
-    xs = element_preimages(h, [y])
-    return None if xs is None else xs[0]
+    return (element_preimages(h, [y]) or [None])[0]
 
 
 def factor_through(embed: AbHom, h: AbHom) -> AbHom:
@@ -654,25 +651,25 @@ def subgroup_intersection(ambient: FgAbGroup, gens_a: list, gens_b: list):
 
 
 def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, AbHom]:
-    """Common fixed points of a family of endomorphisms of ``ambient``."""
-    k = ambient.rank
-    if not endos:
-        s = FgAbGroup(ambient.free_rank, ambient.invariant_factors)
-        return s, AbHom.identity(ambient)
-    stacked: Matrix = []
-    rel = ambient.relation_columns()
-    n = len(endos)
-    for idx, e in enumerate(endos):
+    """Common fixed points of a family of endomorphisms of ``ambient``.
+
+    The fixed set L so far is kept as its ``subgroup_key``.  An e fixing
+    every key row is skipped: the rows generate L, so L lies in ker(e - 1).
+    Any other e cuts L down to L ∩ ker(e - 1).  The result is presented from
+    the final key alone, so it is canonical: families with the same common
+    fixed points, such as H and a generating set of H, give the same pair.
+    """
+    key = identity_matrix(ambient.rank)  # the key of the whole group
+    for e in endos:
         if e.domain != ambient or e.codomain != ambient:
             raise ValueError("endomorphism of the wrong group")
-        for i in range(k):
-            row = [e.matrix[i][j] - (1 if i == j else 0) for j in range(k)]
-            stacked.append(row)
-    # x fixed iff (e - 1)x lies in the relation lattice, blockwise
-    block_rels = [[0] * (b * k) + col + [0] * ((n - 1 - b) * k)
-                  for b in range(n) for col in rel]
-    pre = lattice_preimage(stacked, block_rels, cols=k)
-    return subgroup_from_generators(ambient, pre)
+        if all(e(row) == ambient.reduce(row) for row in key):
+            continue
+        minus_one = [[v - (i == j) for j, v in enumerate(row)]
+                     for i, row in enumerate(e.matrix)]
+        key = subgroup_intersection(ambient, key, lattice_preimage(
+            minus_one, ambient.relation_columns(), cols=ambient.rank))
+    return subgroup_from_generators(ambient, list(key))
 
 
 def subgroup_elements(ambient: FgAbGroup, gens: list) -> set:

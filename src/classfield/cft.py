@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .abelian import (
     AbHom, FgAbGroup, element_preimage, element_preimages, factor_through,
     group_order, hom_cokernel, hom_kernel, identity_matrix, is_injective,
-    is_isomorphism, is_surjective, quotient, subgroup_contains,
+    is_isomorphism, is_surjective, key_contains, quotient, subgroup_contains,
     subgroup_elements, subgroup_from_generators, subgroup_intersection,
     subgroup_key, subgroups_equal,
 )
@@ -483,9 +484,8 @@ class ReciprocityTable:
 
 def _prime_independence(c: RicFunctor, v: ValuationFamily, hkey, ukey) -> bool:
     """All primes of C(H) agree mod ind C(U): ker(v_H) <= Im(ind_{H,U})."""
-    kernel, emb = hom_kernel(v.components[hkey])
-    norm_gens = c.ind[(hkey, ukey)].image_generators()
-    return subgroup_contains(c.values[hkey], norm_gens, *emb.image_generators())
+    norm_key, kernel_gens = _norm_and_kernels(c, v, (hkey, ukey))
+    return key_contains(c.values[hkey], norm_key, *kernel_gens(hkey))
 
 
 def unramified_upsilon(c: RicFunctor, v: ValuationFamily,
@@ -593,11 +593,19 @@ def upsilon_tilde(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     h relative to U.
     """
     return _upsilon_tilde(c, v, datum, h_elt, pair, tate_h0(c, *pair),
-                          certify_prime_independence)
+                          certify_prime_independence and _norm_and_kernels(c, v, pair))
 
 
-def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify_prime_independence):
-    """``upsilon_tilde`` given h0 = ``tate_h0`` at the pair, kept by callers per pair."""
+def _norm_and_kernels(c, v, pair):
+    """Key of the norm subgroup ind C(U) of the pair, and ker v_Sigma per Sigma."""
+    hkey, ukey = pair
+    return (subgroup_key(c.values[hkey], c.ind[(hkey, ukey)].image_generators()),
+            cache(lambda skey: hom_kernel(v.components[skey])[1].image_generators()))
+
+
+def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify):
+    """``upsilon_tilde`` given h0 = ``tate_h0`` and, to certify prime
+    independence, certify = ``_norm_and_kernels``, both kept per pair."""
     hkey, ukey = pair
     sys = c.domain
     h = sys.subgroup(hkey)
@@ -612,12 +620,11 @@ def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify_prime_independence):
         raise NotUrFnd(f"no prime element in C(Sigma) at {skey}")
     target, proj = h0
     value = proj(c.ind[(hkey, skey)](c.values[skey].scale(pprime, pi)))
-    if certify_prime_independence:
-        kernel, emb = hom_kernel(v.components[skey])
-        norm_gens = c.ind[(hkey, ukey)].image_generators()
+    if certify:
+        norm_key, kernel_gens = certify
         shifted = [c.ind[(hkey, skey)](c.values[skey].scale(pprime, col))
-                   for col in emb.image_generators()]
-        if not subgroup_contains(c.values[hkey], norm_gens, *shifted):
+                   for col in kernel_gens(skey)]
+        if not key_contains(c.values[hkey], norm_key, *shifted):
             raise NotUrFnd(
                 f"prime choice leaks through at Sigma={skey}, pair={pair}")
     return value, target, proj
@@ -648,6 +655,7 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
                                 lift_independent=True, prime_independent=True)
 
     lift_ok = True
+    certify = _norm_and_kernels(c, v, pair)
     coset_values: dict[int, tuple] = {}
     for rep in coset_reps(h, u):
         try:
@@ -657,7 +665,7 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
         vals = []
         for lift in lifts:
             try:
-                val, _, _ = _upsilon_tilde(c, v, datum, lift, pair, h0, True)
+                val, _, _ = _upsilon_tilde(c, v, datum, lift, pair, h0, certify)
             except DepthInsufficient:
                 continue  # this lift's multiplicity exceeds the horizon
             vals.append(val)

@@ -104,14 +104,7 @@ def full_system(group: FiniteGroup) -> SubgroupSystem:
     key = "full_system"
     if key in group._cache:
         return group._cache[key]
-    subs = group.all_subgroups()
-    keys = {h.elements: h for h in subs}
-    res, ind = {}, {}
-    for k, h in keys.items():
-        below = tuple(j for j in keys if set(j) <= set(k))
-        res[k] = below
-        ind[k] = below
-    sys = SubgroupSystem(group, subs, res, ind)
+    sys = system_from_predicate(group, lambda h, i: True)
     sys.is_mackey = True
     sys.is_arithmetic = True
     group._cache[key] = sys
@@ -769,11 +762,9 @@ def check_galois_descent(phi: RicFunctor, hkey, ukey) -> bool:
         raise ValueError("Galois descent needs U normal in H")
     if ukey not in system.res_sets[hkey]:
         raise ValueError("U must be a restriction target of H")
-    endos = [phi.con[(x, ukey)] for x in h.elements]
-    for x in h.elements:
-        if phi.con[(x, ukey)].codomain != phi.values[ukey]:
-            raise ValueError("conjugation does not preserve Phi(U)")
-    fixed, emb = fixed_subgroup(phi.values[ukey], endos)
+    # fixed_subgroup rejects a con that does not map Phi(U) to itself
+    _, emb = fixed_subgroup(phi.values[ukey],
+                            [phi.con[(x, ukey)] for x in h.elements])
     try:
         factored = factor_through(emb, phi.res[(ukey, hkey)])
     except ValueError:

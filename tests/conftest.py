@@ -7,7 +7,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from classfield.catalog import catalog
+from classfield.groups import abelianization
 from classfield.mackey import permutation_module
+from classfield.ramification import RamificationDatum
 
 
 def catalog_groups(max_order=None):
@@ -31,6 +33,17 @@ def random_modules(group, seed=0, count=3, max_index=6, max_torsion=4):
         mods.append(permutation_module(group, stab, torsion=torsion,
                                        sign_kernel=kernel))
     return mods
+
+
+def admissible_data(group):
+    """Every surjection G -> Z/m (m > 1) built from abelianization characters."""
+    ab, cmap = abelianization(group)
+    out = []
+    for idx, f in enumerate(ab.invariant_factors):
+        for m in (d for d in range(2, f + 1) if f % d == 0):
+            images = tuple(cmap(x)[idx] % m for x in range(group.order))
+            out.append(RamificationDatum(group, m, images))
+    return out
 
 
 @pytest.fixture(scope="session")

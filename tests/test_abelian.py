@@ -1,4 +1,6 @@
+import json
 import math
+import random
 import signal
 from itertools import product
 
@@ -8,15 +10,17 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
+import classfield.abelian as abelian
 from classfield.abelian import (
-    _hnf_key, _matmul, AbHom, FgAbGroup, element_preimages, group_order,
-    hom_cokernel, hom_image, hom_kernel, invert_isomorphism, is_injective,
-    is_isomorphism, is_surjective, lattice_preimage, mat_mul, quotient,
+    _hnf_key, _matmul, AbHom, FgAbGroup, element_preimages, factor_through,
+    fixed_subgroup, group_order, hom_cokernel, hom_image, hom_kernel,
+    invert_isomorphism, is_injective, is_isomorphism, is_surjective, lattice_preimage, mat_mul, quotient,
     smith_decompose, solve_integer, subgroup_contains, subgroup_elements,
     subgroup_from_generators, subgroup_intersection, subgroup_key,
     subgroups_equal,
 )
 
+from conftest import catalog_groups, random_modules
 from oracles import enumerate_value
 
 
@@ -450,3 +454,84 @@ class TestSolvePerMap:
         assert is_injective(embed)
         assert (subgroup_key(h.domain, embed.image_generators())
                 == subgroup_key(h.domain, pre))
+
+
+class TestOneDecompositionPerMap:
+    """A map decomposes ``[M | relations]`` once, on its first preimage
+    query, and the cached decomposition is invisible to equality."""
+
+    def test_two_factorizations_share_one_decomposition(self, monkeypatch):
+        amb = FgAbGroup(1, (2, 12))
+        _, emb = subgroup_from_generators(amb, [[1, 2, 0], [0, 3, 2]])
+        r = emb.domain.rank
+        maps = [emb.compose(AbHom.from_columns(FgAbGroup(2), emb.domain,
+                                               [[1] * r, [0] * (r - 1) + [1]])),
+                emb.compose(AbHom.multiplication(emb.domain, 5))]
+        unsolved = AbHom.from_json(json.loads(json.dumps(emb.to_json())))
+        calls = []
+        real = abelian.smith_decompose
+        monkeypatch.setattr(abelian, "smith_decompose",
+                            lambda m: calls.append(m) or real(m))
+        first = [factor_through(emb, h) for h in maps]
+        assert len(calls) == 1
+        assert [factor_through(emb, h) for h in maps] == first
+        assert len(calls) == 1
+        fresh = AbHom(emb.domain, emb.codomain, emb.matrix)
+        assert [factor_through(fresh, h) for h in maps] == first
+        assert len(calls) == 2
+        assert "_smith" in vars(emb) and "_smith" not in vars(unsolved)
+        assert emb == unsolved and unsolved == emb
+        assert hash(emb) == hash(unsolved)
+        assert repr(emb) == repr(unsolved)
+        assert json.dumps(emb.to_json()) == json.dumps(unsolved.to_json())
+
+
+def _generators(group, elements):
+    """A generating set of the subgroup on ``elements``, greedily."""
+    gens, span = [], {0}
+    for x in elements:
+        if x not in span:
+            gens.append(x)
+            span = set(group.generated_subgroup(gens).elements)
+    return gens
+
+
+class TestFixedSubgroup:
+    """``fixed_subgroup`` against enumeration of the fixed elements, and
+    its presentation against reordered, repeated and reduced families."""
+
+    @pytest.mark.parametrize("group", catalog_groups(12), ids=lambda g: g.name)
+    def test_against_brute_force_fixed_points(self, group):
+        rng = random.Random(group.name)
+        modules = [m for m in random_modules(group, count=4)
+                   if m.underlying.is_finite()]
+        for module in modules:
+            amb, action = module.underlying, module.action
+            stabilizer = {x: {g for g in range(group.order) if action[g](x) == x}
+                          for x in amb.elements()}
+            for h in group.all_subgroups():
+                endos = [action[a] for a in h.elements]
+                fixed, emb = fixed_subgroup(amb, endos)
+                expected = {x for x, st_x in stabilizer.items()
+                            if st_x >= set(h.elements)}
+                assert subgroup_elements(amb, emb.image_generators()) == expected
+                assert group_order(fixed) == len(expected)
+                shuffled = rng.sample(endos, len(endos))
+                subset = rng.sample(list(h.elements), rng.randint(0, len(h.elements)))
+                subset += _generators(group, h.elements)
+                for family in (shuffled, endos + shuffled[:3],
+                               [action[a] for a in subset]):
+                    assert fixed_subgroup(amb, family) == (fixed, emb)
+
+    def test_rejects_an_endomorphism_of_another_group(self):
+        amb = FgAbGroup(0, (2, 4))
+        other = AbHom.identity(FgAbGroup(0, (4,)))
+        with pytest.raises(ValueError, match="wrong group"):
+            fixed_subgroup(amb, [AbHom.identity(amb), other])
+
+    def test_empty_family_fixes_the_whole_group(self):
+        amb = FgAbGroup(1, (3,))
+        fixed, emb = fixed_subgroup(amb, [])
+        assert fixed == amb
+        assert subgroup_key(amb, emb.image_generators()) == subgroup_key(
+            amb, [[1, 0], [0, 1]])

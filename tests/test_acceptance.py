@@ -43,7 +43,7 @@ from classfield.hrv import (
     LaurentField, rank_n_valuation, stack_roundtrip, valuation_axiom_sampler,
 )
 
-from conftest import random_modules
+from conftest import admissible_data, random_modules
 from oracles import order_multiset, tate_h0_oracle, tate_hminus1_oracle
 
 FIXTURES = Path(__file__).parent.parent / "src" / "classfield" / "fixtures"
@@ -52,18 +52,6 @@ FIXTURES = Path(__file__).parent.parent / "src" / "classfield" / "fixtures"
 def verdict(n, ok, label):
     print(f"ACCEPTANCE {n:>2}: {'PASS' if ok else 'FAIL'} - {label}")
     assert ok, f"criterion {n}: {label}"
-
-
-def admissible_data(group):
-    """Fixture family of surjections G -> Z/m from abelianization characters."""
-    from classfield.groups import abelianization
-    ab, cmap = abelianization(group)
-    out = []
-    for idx, f in enumerate(ab.invariant_factors):
-        for m in (d for d in range(2, f + 1) if f % d == 0):
-            images = tuple(cmap(x)[idx] % m for x in range(group.order))
-            out.append(RamificationDatum(group, m, images))
-    return out
 
 
 def bundled_fnd_fixtures():

@@ -12,6 +12,8 @@ from classfield.ramification import (
 )
 from classfield.transfer import AbelianizationSystem, validate_abelianization_system
 
+from conftest import admissible_data
+
 
 def c4_datum():
     return RamificationDatum(cyclic(4), 4, (0, 1, 2, 3))
@@ -20,18 +22,6 @@ def c4_datum():
 def v4_projection():
     v4 = direct_product(cyclic(2), cyclic(2))
     return RamificationDatum(v4, 2, (0, 0, 1, 1))
-
-
-def admissible_data(group):
-    """Every surjection G -> Z/m (m > 1) built from abelianization data."""
-    from classfield.groups import abelianization
-    ab, cmap = abelianization(group)
-    out = []
-    for idx, f in enumerate(ab.invariant_factors):
-        for m in (d for d in range(2, f + 1) if f % d == 0):
-            images = tuple((cmap(x)[idx]) % m for x in range(group.order))
-            out.append(RamificationDatum(group, m, images))
-    return out
 
 
 class TestDatumValidation:
