@@ -2,15 +2,22 @@
 theory over finite models: transfer maps, cohomological Mackey functors,
 abstract ramification with Frobenius lifts, reciprocity morphisms, and
 higher-rank discrete valuations on truncated Laurent-series fields.
+
+The names in ``__all__`` are imported from their modules on first access,
+so ``import classfield`` loads no engine module.
 """
 
-from .abelian import AbHom, FgAbGroup, group_order, smith_decompose
-from .groups import FiniteGroup, Subgroup, Transversal
-from .ramification import RamificationDatum, SupernaturalNumber
+import importlib
 
-__all__ = [
-    "AbHom", "FgAbGroup", "FiniteGroup", "RamificationDatum", "Subgroup",
-    "SupernaturalNumber", "Transversal", "group_order", "smith_decompose",
-]
+_HOMES = {**dict.fromkeys(("AbHom", "FgAbGroup", "group_order", "smith_decompose"), "abelian"),
+          **dict.fromkeys(("FiniteGroup", "Subgroup", "Transversal"), "groups"),
+          **dict.fromkeys(("RamificationDatum", "SupernaturalNumber"), "ramification")}
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

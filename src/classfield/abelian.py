@@ -529,9 +529,13 @@ def is_surjective(h: AbHom) -> bool:
 
 
 def is_injective(h: AbHom) -> bool:
-    """Whatever h sends into the codomain's relations is a domain relation."""
-    pre = lattice_preimage(h.matrix, h.codomain.relation_columns(), cols=h.domain.rank)
-    return not any(any(h.domain.reduce(x)) for x in pre)
+    """Whatever h sends into the codomain's relations is a domain relation.
+    The rows of the key of ``(h(e_j), e_j)`` and both groups' relations that are
+    0 on the codomain half are that preimage's key (see ``subgroup_intersection``)."""
+    k = h.codomain.rank
+    rows = [col + e for col, e in zip(h.image_generators(), identity_matrix(h.domain.rank))]
+    key = _hnf_key(h.codomain.moduli + h.domain.moduli, rows)
+    return tuple(r[k:] for r in key if not any(r[:k])) == _hnf_key(h.domain.moduli, [])
 
 
 def is_isomorphism(h: AbHom) -> bool:

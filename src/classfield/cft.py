@@ -12,7 +12,7 @@ exhaustively over the finite model rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .abelian import (
@@ -33,10 +33,11 @@ from .ramification import (
     frobenius_element, frobenius_group, frobenius_lifts, inertia_subgroup,
     p_parts, prime_factors,
 )
+from .report import CheckItem, ModelLimit, Report  # noqa: F401  (re-exported)
 from .transfer import AbelianizationSystem
 
 
-class NotUrFnd(ValueError):
+class NotUrFnd(ModelLimit):
     pass
 
 
@@ -325,31 +326,6 @@ class ValuationFamily:
         if self.omega.rank != 1:
             raise ValueError("omega must be cyclic of rank 1")
         return (1,)
-
-
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    witness: object = None
-
-
-@dataclass
-class Report:
-    checks: list[CheckItem] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name, passed, witness=None):
-        self.checks.append(CheckItem(name, bool(passed), witness))
-
-    def first_failure(self):
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
 
 
 def validate_valuation(v: ValuationFamily, datum: RamificationDatum) -> Report:

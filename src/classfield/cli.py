@@ -4,7 +4,7 @@ Subcommands: group, mackey, cft, hrv.  Reports are JSON-first with an
 optional aligned text rendering; identical scenario and seed give
 byte-identical output.  Exit codes: 0 all requested checks passed,
 1 at least one check failed or hit a limit of the finite model, 2 input
-error.
+error.  Handlers import the layers they run after checking input shapes.
 """
 
 from __future__ import annotations
@@ -12,31 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .abelian import AbHom, FgAbGroup
-from .catalog import catalog
-from .cft import (
-    NotUrFnd, Report, Spectrum, ValuationFamily,
-    certify_upsilon_tilde_multiplicative, reduced_verification,
-    unramified_extension, upsilon_morphism, validate_fnd, validate_urfnd,
-    validate_valuation,
-)
-from .groups import FiniteGroup, Subgroup, abelianization
-from .hrv import (
-    LaurentField, ZeroValuation, laurent_from_json, project_valuation,
-    rank_n_valuation, stack_roundtrip, valuation_axiom_sampler,
-)
-from .mackey import (
-    abelianization_functor, check_cohomological, check_mackey_formula,
-    check_stability, fixed_point_functor, full_system, functor_from_json,
-    permutation_module, sign_module, subgroup_key_to_id,
-    trivial_module, unramified_system, validate_ric_functor,
-    validate_subgroup_system,
-)
-from .ramification import (
-    DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel, RamificationDatum,
-)
-from .transfer import commutator_system, transfer
 
 MAX_HRV_SAMPLES = 100_000  # largest "samples" an hrv scenario may ask for
 
@@ -88,17 +63,20 @@ def _parsed(what: str, parse, *args):
 def _load_group(data) -> FiniteGroup:
     data = _object(data, "group")
     if "builtin" in data:
+        from .catalog import catalog
         cat = catalog()
         name = data["builtin"]
         if not isinstance(name, str) or name not in cat:
             raise InputError(f"unknown builtin group {name!r}")
         return cat[name]
+    from .groups import FiniteGroup
     return _parsed("group data", FiniteGroup.from_json, data)
 
 
 def _load_subgroup(group: FiniteGroup, data) -> Subgroup:
     data = _object(data, "subgroup")
     if "elements" in data:
+        from .groups import Subgroup
         return _parsed("subgroup", Subgroup, group,
                        _ints(data["elements"], "subgroup elements"))
     if "generators" in data:
@@ -131,6 +109,8 @@ def _as_json(obj):
 def run_group_report(args) -> tuple[dict, bool]:
     data = _object(_load_json(args.input), "scenario")
     group = _load_group(data.get("group", data))
+    from .groups import abelianization, commutator_subgroup, subgroup_key_to_id
+    from .transfer import transfer
     ab, _ = abelianization(group)
     subgroups = group.all_subgroups()
     lattice = {}
@@ -144,7 +124,6 @@ def run_group_report(args) -> tuple[dict, bool]:
         targets.extend(h for h in subgroups
                        if 1 < h.index <= 12)
     tables = []
-    from .groups import commutator_subgroup
     r_g = commutator_subgroup(group.full_subgroup())
     for h in targets:
         r_h = commutator_subgroup(h)
@@ -166,6 +145,8 @@ def run_group_report(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def _build_module(group: FiniteGroup, data):
+    from .abelian import FgAbGroup
+    from .mackey import permutation_module, sign_module, trivial_module
     data = _object(data, "module")
     kind = data.get("kind", "trivial")
     torsion = _int(data.get("torsion", 0), "module torsion")
@@ -187,6 +168,7 @@ def _build_module(group: FiniteGroup, data):
 
 
 def _build_system(group: FiniteGroup, data, datum=None):
+    from .mackey import full_system, system_from_json, unramified_system
     if data is None:
         return full_system(group)
     kind = _object(data, "system").get("kind", "full")
@@ -196,11 +178,11 @@ def _build_system(group: FiniteGroup, data, datum=None):
         if datum is None:
             raise InputError("unramified system needs a ramification block")
         return unramified_system(datum)
-    from .mackey import system_from_json
     return _usable_system(_parsed("subgroup system", system_from_json, group, data))
 
 
 def _usable_system(system):
+    from .mackey import validate_subgroup_system
     rep = validate_subgroup_system(system)
     if not rep.passed:
         raise InputError(f"invalid subgroup system at {rep.witness}: {rep.detail}")
@@ -208,6 +190,8 @@ def _usable_system(system):
 
 
 def _build_functor(group: FiniteGroup, data, system, datum=None):
+    from .mackey import abelianization_functor, fixed_point_functor, functor_from_json
+    from .transfer import commutator_system
     kind = _object(data, "functor").get("kind")
     if kind == "fixed_point":
         module = _build_module(group, data.get("module", {}))
@@ -230,7 +214,14 @@ def _build_functor(group: FiniteGroup, data, system, datum=None):
 
 def run_mackey_check(args) -> tuple[dict, bool]:
     data = _object(_load_json(args.input), "scenario")
-    group = _load_group(_block(data, "group"))
+    group_data = _block(data, "group")
+    from .groups import subgroup_key_to_id
+    from .mackey import (
+        check_cohomological, check_mackey_formula, check_stability,
+        validate_ric_functor, validate_subgroup_system,
+    )
+    from .report import Report
+    group = _load_group(group_data)
     datum = None
     if "ramification" in data:
         datum = _ramification(group, _block(data, "ramification"))
@@ -261,11 +252,15 @@ def _ramification(group: FiniteGroup, data: dict) -> RamificationDatum:
     modulus = _int(data.get("modulus"), "ramification modulus")
     d = _ints(data.get("d"), "ramification d")
     primes = _ints(data.get("primes_P", []), "ramification primes_P")
+    from .ramification import RamificationDatum
     return _parsed("ramification datum", RamificationDatum, group, modulus,
                    tuple(d), frozenset(primes))
 
 
 def _valuation(c, data: dict, system) -> ValuationFamily:
+    from .abelian import AbHom, FgAbGroup
+    from .cft import ValuationFamily
+    from .groups import subgroup_key_to_id
     if "omega" not in data:
         raise InputError("valuation block needs an 'omega' entry")
     m = _int(_object(data["omega"], "omega").get("modulus", 0), "omega modulus")
@@ -298,7 +293,17 @@ def _valuation(c, data: dict, system) -> ValuationFamily:
 
 def run_cft_scenario(args) -> tuple[dict, bool]:
     data = _object(_load_json(args.input), "scenario")
-    group = _load_group(_block(data, "group"))
+    group_data = _block(data, "group")
+    from .cft import (
+        Spectrum, certify_upsilon_tilde_multiplicative, reduced_verification,
+        unramified_extension, upsilon_morphism, validate_fnd, validate_urfnd,
+        validate_valuation,
+    )
+    from .groups import subgroup_key_to_id
+    from .mackey import validate_functor_morphism
+    from .report import Report
+    from .transfer import commutator_system
+    group = _load_group(group_data)
     datum = _ramification(group, _block(data, "ramification"))
     system = _build_system(group, data.get("system"), datum)
     c = _build_functor(group, _block(data, "functor"), system, datum)
@@ -341,7 +346,6 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
         rsys = commutator_system(system)
         morphism, table_map = upsilon_morphism(
             c, vfam, datum, spectrum, rsys, fnd_validated=True)
-        from .mackey import validate_functor_morphism
         mrep = validate_functor_morphism(morphism)
         report.add("upsilon_is_morphism", mrep.passed, mrep.witness)
         report.add("upsilon_all_iso",
@@ -379,6 +383,11 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
     samples = data.get("samples")
     if samples is not None and not 1 <= _int(samples, "hrv samples") <= MAX_HRV_SAMPLES:
         raise InputError(f"hrv samples must be from 1 to {MAX_HRV_SAMPLES}")
+    from .hrv import (
+        LaurentField, ZeroValuation, laurent_from_json, project_valuation,
+        rank_n_valuation, stack_roundtrip, valuation_axiom_sampler,
+    )
+    from .report import Report
     report = Report()
     results: dict = {"checks": [], "valuations": [], "roundtrips": []}
     elements = data.get("elements", [])
@@ -463,11 +472,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out, passed = args.fn(args)
-    except (DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel,
-            NotUrFnd) as exc:  # a limit of the finite model, not bad input
-        print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:  # InputError included
+        if not isinstance(exc, InputError):  # so bad input imports nothing more
+            from .report import ModelLimit
+            if isinstance(exc, ModelLimit):  # a limit of the finite model
+                print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return 1
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     rendered = (json.dumps(out, sort_keys=True, indent=2) + "\n"

@@ -286,6 +286,14 @@ class Subgroup:
         return {"elements": list(self.elements)}
 
 
+def subgroup_key_to_id(key) -> str:
+    return ",".join(str(x) for x in key)
+
+
+def subgroup_id_to_key(s: str):
+    return tuple(int(x) for x in s.split(",")) if s else ()
+
+
 @dataclass(frozen=True)
 class Transversal:
     """Ordered full set of coset representatives.

@@ -30,7 +30,7 @@ from .abelian import (
 )
 from .groups import (
     FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps,
-    double_coset_reps, left_transversal,
+    double_coset_reps, left_transversal, subgroup_id_to_key, subgroup_key_to_id,
 )
 from .ramification import RamificationDatum, degrees
 from .transfer import AbelianizationSystem, ValidationReport, _pretransfers
@@ -812,14 +812,6 @@ def adjunction_maps(module: GModule, phi: RicFunctor, basis) -> AdjunctionResult
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def subgroup_key_to_id(key) -> str:
-    return ",".join(str(x) for x in key)
-
-
-def subgroup_id_to_key(s: str):
-    return tuple(int(x) for x in s.split(",")) if s else ()
-
 
 def system_to_json(system: SubgroupSystem) -> dict:
     return {

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, Subgroup
+from .report import ModelLimit
 
 
-class DepthInsufficient(ValueError):
+class DepthInsufficient(ModelLimit):
     """The finite modulus cannot represent this Frobenius group faithfully."""
 
     def __init__(self, message, report=None):
@@ -25,11 +26,11 @@ class DepthInsufficient(ValueError):
         self.report = report
 
 
-class InertiaTrivialHorizon(ValueError):
+class InertiaTrivialHorizon(ModelLimit):
     """d_H would land in a trivial quotient; the model is too shallow."""
 
 
-class NoLiftInModel(ValueError):
+class NoLiftInModel(ModelLimit):
     """The requested coset contains no Frobenius lift in the finite model."""
 
 

@@ -456,6 +456,35 @@ class TestSolvePerMap:
                 == subgroup_key(h.domain, pre))
 
 
+class TestIsInjective:
+    """``is_injective`` reads the kernel from the map's own decomposition;
+    the oracle enumerates the images of a finite domain."""
+
+    @given(ab_groups(finite=True), ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_enumeration(self, a, b, data):
+        h = draw_hom(data, a, b)
+        for f in (h, hom_kernel(h)[1]):  # the kernel's embedding is injective
+            elements = enumerate_value(f.domain)
+            assert is_injective(f) == (len({f(x) for x in elements}) == len(elements))
+
+    def test_planted_collision_is_caught(self):
+        a = FgAbGroup(0, (2, 4, 8))
+        assert is_injective(AbHom.identity(a))
+        # the first generator now lands on 4 times the third
+        planted = AbHom.from_columns(a, a, [[0, 0, 4], [0, 1, 0], [0, 0, 1]])
+        images = [planted(x) for x in enumerate_value(a)]
+        assert len(set(images)) < len(images)
+        assert not is_injective(planted)
+
+    def test_trivial_domain_or_codomain(self):
+        trivial, c3, z = FgAbGroup(0), FgAbGroup(0, (3,)), FgAbGroup(1)
+        assert not is_injective(AbHom.zero(c3, trivial))
+        assert not is_injective(AbHom.zero(z, trivial))
+        assert is_injective(AbHom.zero(trivial, trivial))
+        assert is_injective(AbHom.zero(trivial, FgAbGroup(1, (2,))))
+
+
 class TestOneDecompositionPerMap:
     """A map decomposes ``[M | relations]`` once, on its first preimage
     query, and the cached decomposition is invisible to equality."""

@@ -209,6 +209,11 @@ class TestExitCodeContract:
                     "functor": {"kind": "abelianization"}}, "'ramification'"),
         ("cft", {"group": {"builtin": "C2"}, "ramification": 2},
          "'ramification'"),
+        ("group", {"group": [[0, 1], [1, 0]]}, "group must be a JSON object"),
+        ("group", {"group": {"builtin": "C5000"}}, "unknown builtin group"),
+        ("hrv", [], "scenario must be a JSON object"),
+        ("hrv", {"tasks": "roundtrip"}, "hrv tasks must be a list"),
+        ("hrv", {"elements": [{"p": 2}]}, "invalid Laurent element"),
     ]
 
     def test_malformed_shapes_exit_2(self, tmp_path):
@@ -217,7 +222,7 @@ class TestExitCodeContract:
             path.write_text(json.dumps(data))
             proc = run_cli(sub, "--input", str(path))
             assert proc.returncode == 2, (sub, data, proc.stderr)
-            assert "Traceback" not in proc.stderr
+            assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
             assert proc.stderr.startswith("input error:") and needle in proc.stderr
 
     def test_unusable_system_or_tables_exit_2(self, tmp_path):
@@ -236,7 +241,7 @@ class TestExitCodeContract:
     def test_model_limit_exits_1(self, monkeypatch):
         # every limit of the finite model met by the engine exits 1 with a
         # one-line message, whichever scenario meets it
-        from classfield import cli
+        from classfield import cft, cli
         from classfield.cft import NotUrFnd
         from classfield.ramification import (
             DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel)
@@ -244,7 +249,7 @@ class TestExitCodeContract:
                     NotUrFnd):
             def limit(*args, **kwargs):
                 raise exc("the finite model is too shallow")
-            monkeypatch.setattr(cli, "upsilon_morphism", limit)
+            monkeypatch.setattr(cft, "upsilon_morphism", limit)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli.main(["cft", "--input", str(FIXTURES / "c2_unramified.json")])
