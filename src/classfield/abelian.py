@@ -6,14 +6,17 @@ coordinates list the torsion generators first, then the free generators,
 so a coordinate vector for ``FgAbGroup(r, (f1, ..., ft))`` has ``t + r``
 entries and entry ``i < t`` is reduced modulo ``f_i``.
 
-Kernels, preimages, presentations and integer solving go through a
-witnessed Smith normal form.  One decomposition answers every right-hand
-side, and each ``AbHom`` holds the one that its preimages solve against,
-built on the first query (Cohen, GTM 138, section 2.4).  Subgroup
-membership, equality and intersection, and with them surjectivity, compare
-the canonical Hermite normal form of the subgroup's preimage lattice in
-Z^rank (``subgroup_key``).  The key is built once per subgroup, not once
-per query: ``key_contains`` tests many elements against one key, which a
+Presentations, preimages and integer solving go through a witnessed Smith
+normal form.  One decomposition answers every right-hand side, and each
+``AbHom`` holds the one that its preimages solve against, built on the
+first query (Cohen, GTM 138, section 2.4).  Subgroup membership, equality
+and intersection, and with them surjectivity, compare the canonical Hermite
+normal form of the subgroup's preimage lattice in Z^rank (``subgroup_key``).
+Kernels come from the same form: ``kernel_key`` reads the key of ker h off
+the Hermite form of the graph of h, and every kernel, fixed-point group and
+relation lattice is taken from it, never from Smith transform columns,
+whose entries blow up.  The key is built once per subgroup, not once per
+query: ``key_contains`` tests many elements against one key, which a
 caller with many questions about one subgroup keeps; its rows generate the
 subgroup.  Everything runs over plain Python integers, so there is no
 overflow and no floating point.
@@ -175,28 +178,6 @@ def smith_decompose(m: Matrix) -> SmithDecomposition:
     return SmithDecomposition(diagonal, left, right, left_inv, right_inv)
 
 
-def kernel_basis(m: Matrix, cols: int | None = None) -> list[list[int]]:
-    """Columns generating the integer kernel lattice of ``m``.
-
-    ``cols`` must be passed when ``m`` has no rows (the matrix itself
-    then carries no column count).
-    """
-    rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [col for col in identity_matrix(cols)]
-    snf = smith_decompose(m)
-    basis = []
-    for j in range(cols):
-        d = snf.diagonal[j] if j < len(snf.diagonal) else 0
-        if d == 0:
-            basis.append([snf.right[i][j] for i in range(cols)])
-    return basis
-
-
 def solve_integer(m: Matrix, bs: list[list[int]],
                   cols: int | None = None) -> list[list[int]] | None:
     """One integer solution of ``m @ x = b`` per ``b`` in ``bs``, or None
@@ -227,20 +208,6 @@ def _solve(snf: SmithDecomposition, bs) -> list[list[int]] | None:
 def columns(mats: list[list[int]]) -> Matrix:
     """Assemble column vectors into a matrix (all the same length)."""
     return [[col[i] for col in mats] for i in range(len(mats[0]))] if mats else []
-
-
-def lattice_preimage(m: Matrix, target_cols: list[list[int]],
-                     cols: int | None = None) -> list[list[int]]:
-    """Columns generating ``{x : m @ x in lattice(target_cols)}``."""
-    rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [col for col in identity_matrix(cols)]
-    s = len(target_cols)
-    stacked = [list(m[i]) + [-target_cols[j][i] for j in range(s)] for i in range(rows)]
-    ker = kernel_basis(stacked, cols=cols + s)
-    return [vec[:cols] for vec in ker]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +355,8 @@ class AbHom:
 
     @classmethod
     def _trusted(cls, domain: FgAbGroup, codomain: FgAbGroup, rows) -> "AbHom":
-        """Build a product or sum of well-defined maps, which is well defined.
+        """Build a map known to be well defined: a product or sum of
+        well-defined maps, or a map from a free group.
 
         Rows are reduced modulo the codomain as in ``__post_init__``, whose
         shape and torsion checks are skipped.
@@ -490,13 +458,12 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup,
     Returns the subgroup in normal form with an injective AbHom into the
     ambient group.
     """
-    gens = [list(ambient.reduce(g)) for g in gens]
-    w = columns(gens)
-    # kernel bases can be huge and blow up the SNF; the Hermite form is small
-    rel = _hnf_key([0] * len(gens),
-                   lattice_preimage(w, ambient.relation_columns(), cols=len(gens)))
-    s, _, from_new = presentation_from_lattice(len(gens), rel)
-    return s, AbHom.from_columns(s, ambient, [mat_vec(w, rep) for rep in from_new])
+    gens = [ambient.reduce(g) for g in gens]
+    # Z^n -> ambient, e_j -> g_j: its kernel is the lattice of relations
+    span = AbHom._trusted(FgAbGroup(len(gens)), ambient,
+                          [[g[i] for g in gens] for i in range(ambient.rank)])
+    s, _, from_new = presentation_from_lattice(len(gens), list(kernel_key(span)))
+    return s, AbHom.from_columns(s, ambient, [span(rep) for rep in from_new])
 
 
 def quotient(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup, AbHom]:
@@ -509,8 +476,7 @@ def quotient(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup, AbHom]:
 
 def hom_kernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
     """Kernel of a homomorphism with its embedding into the domain."""
-    pre = lattice_preimage(h.matrix, h.codomain.relation_columns(), cols=h.domain.rank)
-    return subgroup_from_generators(h.domain, pre)
+    return subgroup_from_generators(h.domain, list(kernel_key(h)))
 
 
 def hom_image(h: AbHom) -> tuple[FgAbGroup, AbHom]:
@@ -529,13 +495,7 @@ def is_surjective(h: AbHom) -> bool:
 
 
 def is_injective(h: AbHom) -> bool:
-    """Whatever h sends into the codomain's relations is a domain relation.
-    The rows of the key of ``(h(e_j), e_j)`` and both groups' relations that are
-    0 on the codomain half are that preimage's key (see ``subgroup_intersection``)."""
-    k = h.codomain.rank
-    rows = [col + e for col, e in zip(h.image_generators(), identity_matrix(h.domain.rank))]
-    key = _hnf_key(h.codomain.moduli + h.domain.moduli, rows)
-    return tuple(r[k:] for r in key if not any(r[:k])) == _hnf_key(h.domain.moduli, [])
+    return kernel_key(h) == subgroup_key(h.domain, [])
 
 
 def is_isomorphism(h: AbHom) -> bool:
@@ -635,6 +595,22 @@ def key_contains(ambient: FgAbGroup, key, *xs) -> bool:
     return True
 
 
+def kernel_key(h: AbHom) -> tuple[tuple[int, ...], ...]:
+    """``subgroup_key`` of ker h inside ``h.domain``.
+
+    The rows ``(h(e_j), e_j)`` plus the relations of both groups span the
+    graph ``{(h(x), x)}``.  Its echelon rows that vanish on the codomain half
+    span the vectors ``(0, x)`` with h(x) = 0; their domain halves are
+    echelon and reduced, as in ``subgroup_intersection``: the key of ker h.
+    Being reduced, its entries stay small where Smith transform columns
+    blow up (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
+    """
+    k = h.codomain.rank
+    rows = [col + e for col, e in zip(h.image_generators(), identity_matrix(h.domain.rank))]
+    key = _hnf_key(h.codomain.moduli + h.domain.moduli, rows)
+    return tuple(r[k:] for r in key if not any(r[:k]))
+
+
 def subgroups_equal(ambient: FgAbGroup, gens_a: list, gens_b: list) -> bool:
     return subgroup_key(ambient, gens_a) == subgroup_key(ambient, gens_b)
 
@@ -669,10 +645,9 @@ def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, A
             raise ValueError("endomorphism of the wrong group")
         if all(e(row) == ambient.reduce(row) for row in key):
             continue
-        minus_one = [[v - (i == j) for j, v in enumerate(row)]
-                     for i, row in enumerate(e.matrix)]
-        key = subgroup_intersection(ambient, key, lattice_preimage(
-            minus_one, ambient.relation_columns(), cols=ambient.rank))
+        minus_one = AbHom._trusted(ambient, ambient, (
+            [v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(e.matrix)))
+        key = subgroup_intersection(ambient, key, kernel_key(minus_one))
     return subgroup_from_generators(ambient, list(key))
 
 

@@ -18,9 +18,9 @@ from functools import cache
 from .abelian import (
     AbHom, FgAbGroup, element_preimage, element_preimages, factor_through,
     group_order, hom_cokernel, hom_kernel, identity_matrix, is_injective,
-    is_isomorphism, is_surjective, key_contains, quotient, subgroup_contains,
-    subgroup_elements, subgroup_from_generators, subgroup_intersection,
-    subgroup_key, subgroups_equal,
+    is_isomorphism, is_surjective, kernel_key, key_contains, quotient,
+    subgroup_contains, subgroup_elements, subgroup_from_generators,
+    subgroup_intersection, subgroup_key,
 )
 from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps
 from .mackey import (
@@ -380,9 +380,9 @@ def prime_elements_exist(v: ValuationFamily, hkey) -> tuple[int, ...] | None:
 
 def _kernel_map(v: ValuationFamily, src_key, dst_key, edge: AbHom):
     """Restrict an edge map of C to the kernels of the valuation."""
-    k_src, emb_src = hom_kernel(v.components[src_key])
-    k_dst, emb_dst = hom_kernel(v.components[dst_key])
-    return factor_through(emb_dst, edge.compose(emb_src)), k_src, k_dst
+    _, emb_src = hom_kernel(v.components[src_key])
+    _, emb_dst = hom_kernel(v.components[dst_key])
+    return factor_through(emb_dst, edge.compose(emb_src))
 
 
 def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
@@ -422,7 +422,7 @@ def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
             report.add("image_quotient_cyclic_of_index", ok_order and generated,
                        None if ok_order and generated else pair)
         # (ii) ind surjective on kernels
-        ind_k, _, _ = _kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])
+        ind_k = _kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])
         report.add("ind_surjective_on_kernels", is_surjective(ind_k),
                    None if is_surjective(ind_k) else pair)
         # (iii) |H^0| <= [H:U]
@@ -481,7 +481,7 @@ def unramified_upsilon(c: RicFunctor, v: ValuationFamily,
     if not validated:
         if inertia_subgroup(datum, u).elements != inertia_subgroup(datum, h).elements:
             raise NotUrFnd(f"pair {pair} is not unramified")
-        ind_k, _, _ = _kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])
+        ind_k = _kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])
         if not is_surjective(ind_k):
             raise NotUrFnd(f"ind not surjective on kernels at {pair}")
         h0, _ = tate_h0(c, hkey, ukey)
@@ -536,24 +536,16 @@ def validate_fnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
                     continue
                 # V = U: the Frobenius coset is the identity, con - 1 = 0
                 phi = 0 if vkey == ukey else frobenius_element(datum, u, v_sub)
-                res_k, k_u, k_v = _kernel_map(v, ukey, vkey, c.res[(vkey, ukey)])
-                ind_k, _, _ = _kernel_map(v, vkey, ukey, c.ind[(ukey, vkey)])
+                res_k = _kernel_map(v, ukey, vkey, c.res[(vkey, ukey)])
+                ind_k = _kernel_map(v, vkey, ukey, c.ind[(ukey, vkey)])
                 con_diff = c.con[(phi, vkey)].add(
                     AbHom.identity(c.values[vkey]).scaled(-1))
-                con_k, _, _ = _kernel_map(v, vkey, vkey, con_diff)
-                ok = is_injective(res_k)
-                im_res = res_k.image_generators()
-                ker_con, ker_con_emb = hom_kernel(con_k)
-                if ok and not subgroups_equal(k_v, im_res,
-                                              ker_con_emb.image_generators()):
-                    ok = False
-                im_con = con_k.image_generators()
-                ker_ind, ker_ind_emb = hom_kernel(ind_k)
-                if ok and not subgroups_equal(k_v, im_con,
-                                              ker_ind_emb.image_generators()):
-                    ok = False
-                if ok and not is_surjective(ind_k):
-                    ok = False
+                con_k = _kernel_map(v, vkey, vkey, con_diff)
+                k_v = con_k.domain  # ker v_V
+                ok = (is_injective(res_k)
+                      and subgroup_key(k_v, res_k.image_generators()) == kernel_key(con_k)
+                      and subgroup_key(k_v, con_k.image_generators()) == kernel_key(ind_k)
+                      and is_surjective(ind_k))
                 report.add("kernel_sequence_exact", ok,
                            None if ok else (hkey, ukey, vkey))
     return report
@@ -576,7 +568,7 @@ def _norm_and_kernels(c, v, pair):
     """Key of the norm subgroup ind C(U) of the pair, and ker v_Sigma per Sigma."""
     hkey, ukey = pair
     return (subgroup_key(c.values[hkey], c.ind[(hkey, ukey)].image_generators()),
-            cache(lambda skey: hom_kernel(v.components[skey])[1].image_generators()))
+            cache(lambda skey: kernel_key(v.components[skey])))
 
 
 def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify):
