@@ -9,17 +9,16 @@ entries and entry ``i < t`` is reduced modulo ``f_i``.
 Presentations, preimages and integer solving go through a witnessed Smith
 normal form.  One decomposition answers every right-hand side, and each
 ``AbHom`` holds the one that its preimages solve against, built on the
-first query (Cohen, GTM 138, section 2.4).  Subgroup membership, equality
-and intersection, and with them surjectivity, compare the canonical Hermite
-normal form of the subgroup's preimage lattice in Z^rank (``subgroup_key``).
-Kernels come from the same form: ``kernel_key`` reads the key of ker h off
-the Hermite form of the graph of h, and every kernel, fixed-point group and
-relation lattice is taken from it, never from Smith transform columns,
-whose entries blow up.  The key is built once per subgroup, not once per
-query: ``key_contains`` tests many elements against one key, which a
-caller with many questions about one subgroup keeps; its rows generate the
-subgroup.  Everything runs over plain Python integers, so there is no
-overflow and no floating point.
+first query (Cohen, GTM 138, section 2.4).  A subgroup is a ``SubgroupKey``:
+the canonical Hermite normal form of its preimage lattice in Z^rank, so
+equal subgroups have equal keys.  The key answers membership (``contains``)
+and intersection (``meet``), and it presents its subgroup once, on the
+first read of ``presentation``.  Kernels come from the same form:
+``kernel_key`` reads the key of ker h off the Hermite form of the graph of
+h, and every kernel, fixed-point group and relation lattice is taken from
+it, never from Smith transform columns, whose entries blow up.  Everything
+runs over plain Python integers, so there is no overflow and no floating
+point.
 """
 
 from __future__ import annotations
@@ -462,7 +461,7 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup,
     # Z^n -> ambient, e_j -> g_j: its kernel is the lattice of relations
     span = AbHom._trusted(FgAbGroup(len(gens)), ambient,
                           [[g[i] for g in gens] for i in range(ambient.rank)])
-    s, _, from_new = presentation_from_lattice(len(gens), list(kernel_key(span)))
+    s, _, from_new = presentation_from_lattice(len(gens), list(kernel_key(span).rows))
     return s, AbHom.from_columns(s, ambient, [span(rep) for rep in from_new])
 
 
@@ -472,11 +471,6 @@ def quotient(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup, AbHom]:
     q, to_new, _ = presentation_from_lattice(ambient.rank, rel)
     cols = [list(to_new(e)) for e in identity_matrix(ambient.rank)]
     return q, AbHom.from_columns(ambient, q, cols)
-
-
-def hom_kernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
-    """Kernel of a homomorphism with its embedding into the domain."""
-    return subgroup_from_generators(h.domain, list(kernel_key(h)))
 
 
 def hom_image(h: AbHom) -> tuple[FgAbGroup, AbHom]:
@@ -490,8 +484,8 @@ def hom_cokernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
 
 
 def is_surjective(h: AbHom) -> bool:
-    return subgroups_equal(h.codomain, h.image_generators(),
-                           identity_matrix(h.codomain.rank))
+    return subgroup_key(h.codomain, h.image_generators()).contains(
+        *identity_matrix(h.codomain.rank))
 
 
 def is_injective(h: AbHom) -> bool:
@@ -571,84 +565,92 @@ def _hnf_key(moduli, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p) for _, p in basis)
 
 
-def subgroup_key(ambient: FgAbGroup, gens: list) -> tuple[tuple[int, ...], ...]:
+@dataclass(frozen=True)
+class SubgroupKey:
+    """The subgroup of ``ambient`` whose ``_hnf_key`` is ``rows``: equal exactly
+    for equal subgroups.  ``presentation`` is cached and is not a field."""
+
+    ambient: FgAbGroup
+    rows: tuple[tuple[int, ...], ...]
+
+    def contains(self, *xs) -> bool:
+        """Is every x in the subgroup?"""
+        key = [(next(i for i, v in enumerate(row) if v), row) for row in self.rows]
+        for x in xs:
+            x = list(self.ambient.reduce(x))
+            for c, row in key:
+                q = x[c] // row[c]  # a remainder survives to the final check
+                if q:
+                    x = [u - q * v for u, v in zip(x, row)]
+            if any(x):
+                return False
+        return True
+
+    def meet(self, other: "SubgroupKey") -> "SubgroupKey":
+        """The key of the intersection of two subgroups of one group.
+
+        The rows ``[a | a]`` and ``[b | 0]`` plus the relations in both
+        halves span ``{(u + v, u) : u in A, v in B}``.  Its echelon rows that
+        vanish on the first half span the vectors ``(0, u)`` with ``u`` in
+        both A and B.  Their second halves are echelon and reduced: the key
+        of the intersection.
+        """
+        k = self.ambient.rank
+        stacked = ([list(a) + list(a) for a in self.rows]
+                   + [list(b) + [0] * k for b in other.rows])
+        key = _hnf_key(self.ambient.moduli * 2, stacked)
+        return SubgroupKey(self.ambient, tuple(r[k:] for r in key if not any(r[:k])))
+
+    @cached_property
+    def presentation(self) -> tuple[FgAbGroup, AbHom]:
+        """The subgroup in normal form with its embedding into ``ambient``."""
+        return subgroup_from_generators(self.ambient, list(self.rows))
+
+
+def subgroup_key(ambient: FgAbGroup, gens: list) -> SubgroupKey:
     """Canonical key of <gens>: equal exactly for equal subgroups, rows generate it."""
-    return _hnf_key(ambient.moduli, gens)
+    return SubgroupKey(ambient, _hnf_key(ambient.moduli, gens))
 
 
 def subgroup_contains(ambient: FgAbGroup, gens: list, *xs) -> bool:
     """Is every x in the subgroup of ambient generated by gens?"""
-    return key_contains(ambient, subgroup_key(ambient, gens), *xs)
+    return subgroup_key(ambient, gens).contains(*xs)
 
 
-def key_contains(ambient: FgAbGroup, key, *xs) -> bool:
-    """Is every x in the subgroup whose ``subgroup_key`` is key?"""
-    key = [(next(i for i, v in enumerate(row) if v), row) for row in key]
-    for x in xs:
-        x = list(ambient.reduce(x))
-        for c, row in key:
-            q = x[c] // row[c]  # a remainder survives to the final check
-            if q:
-                x = [u - q * v for u, v in zip(x, row)]
-        if any(x):
-            return False
-    return True
-
-
-def kernel_key(h: AbHom) -> tuple[tuple[int, ...], ...]:
+def kernel_key(h: AbHom) -> SubgroupKey:
     """``subgroup_key`` of ker h inside ``h.domain``.
 
     The rows ``(h(e_j), e_j)`` plus the relations of both groups span the
     graph ``{(h(x), x)}``.  Its echelon rows that vanish on the codomain half
     span the vectors ``(0, x)`` with h(x) = 0; their domain halves are
-    echelon and reduced, as in ``subgroup_intersection``: the key of ker h.
+    echelon and reduced, as in ``SubgroupKey.meet``: the key of ker h.
     Being reduced, its entries stay small where Smith transform columns
     blow up (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
     """
     k = h.codomain.rank
     rows = [col + e for col, e in zip(h.image_generators(), identity_matrix(h.domain.rank))]
     key = _hnf_key(h.codomain.moduli + h.domain.moduli, rows)
-    return tuple(r[k:] for r in key if not any(r[:k]))
+    return SubgroupKey(h.domain, tuple(r[k:] for r in key if not any(r[:k])))
 
 
-def subgroups_equal(ambient: FgAbGroup, gens_a: list, gens_b: list) -> bool:
-    return subgroup_key(ambient, gens_a) == subgroup_key(ambient, gens_b)
+def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> SubgroupKey:
+    """Key of the common fixed points of a family of endomorphisms of ``ambient``.
 
-
-def subgroup_intersection(ambient: FgAbGroup, gens_a: list, gens_b: list):
-    """``subgroup_key`` of the intersection of two subgroups of ``ambient``.
-
-    The rows ``[a | a]`` and ``[b | 0]`` plus the relations in both halves
-    span ``{(u + v, u) : u in A, v in B}``.  Its echelon rows that vanish on
-    the first half span the vectors ``(0, u)`` with ``u`` in both A and B.
-    Their second halves are echelon and reduced: the key of the intersection.
+    The fixed set L so far is kept as its key.  An e fixing every key row
+    is skipped: the rows generate L, so L lies in ker(e - 1).  Any other e
+    cuts L down to L ∩ ker(e - 1).  Families with the same common fixed
+    points, such as H and a generating set of H, give the same key.
     """
-    k = ambient.rank
-    stacked = ([list(g) + list(g) for g in gens_a]
-               + [list(g) + [0] * k for g in gens_b])
-    key = _hnf_key(ambient.moduli * 2, stacked)
-    return tuple(row[k:] for row in key if not any(row[:k]))
-
-
-def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> tuple[FgAbGroup, AbHom]:
-    """Common fixed points of a family of endomorphisms of ``ambient``.
-
-    The fixed set L so far is kept as its ``subgroup_key``.  An e fixing
-    every key row is skipped: the rows generate L, so L lies in ker(e - 1).
-    Any other e cuts L down to L ∩ ker(e - 1).  The result is presented from
-    the final key alone, so it is canonical: families with the same common
-    fixed points, such as H and a generating set of H, give the same pair.
-    """
-    key = identity_matrix(ambient.rank)  # the key of the whole group
+    key = subgroup_key(ambient, identity_matrix(ambient.rank))  # the whole group
     for e in endos:
         if e.domain != ambient or e.codomain != ambient:
             raise ValueError("endomorphism of the wrong group")
-        if all(e(row) == ambient.reduce(row) for row in key):
+        if all(e(row) == ambient.reduce(row) for row in key.rows):
             continue
         minus_one = AbHom._trusted(ambient, ambient, (
             [v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(e.matrix)))
-        key = subgroup_intersection(ambient, key, kernel_key(minus_one))
-    return subgroup_from_generators(ambient, list(key))
+        key = key.meet(kernel_key(minus_one))
+    return key
 
 
 def subgroup_elements(ambient: FgAbGroup, gens: list) -> set:

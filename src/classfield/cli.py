@@ -14,6 +14,7 @@ import json
 import sys
 
 MAX_HRV_SAMPLES = 100_000  # largest "samples" an hrv scenario may ask for
+HRV_TASKS = ("valuation", "roundtrip", "axioms")
 
 
 class InputError(ValueError):
@@ -378,11 +379,26 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
     tasks = data.get("tasks", ["valuation"])
     if not isinstance(tasks, list):
         raise InputError("hrv tasks must be a list")
+    if not tasks:
+        raise InputError(f"hrv tasks must name at least one of {', '.join(HRV_TASKS)}")
+    for task in tasks:
+        if task not in HRV_TASKS:
+            raise InputError(f"unknown hrv task {task!r}: expected one of "
+                             f"{', '.join(HRV_TASKS)}")
     seed = args.seed if args.seed is not None else _int(data.get("seed", 0),
                                                         "hrv seed")
     samples = data.get("samples")
     if samples is not None and not 1 <= _int(samples, "hrv samples") <= MAX_HRV_SAMPLES:
         raise InputError(f"hrv samples must be from 1 to {MAX_HRV_SAMPLES}")
+    elements = data.get("elements", [])
+    if not isinstance(elements, list):
+        raise InputError("hrv elements must be a list")
+    # a requested task with nothing to run on would pass without a check
+    if "valuation" in tasks and not elements:
+        raise InputError("hrv task 'valuation' needs elements")
+    for task in ("roundtrip", "axioms"):
+        if task in tasks and not elements and "field" not in data:
+            raise InputError(f"hrv task {task!r} needs a field or elements")
     from .hrv import (
         LaurentField, ZeroValuation, laurent_from_json, project_valuation,
         rank_n_valuation, stack_roundtrip, valuation_axiom_sampler,
@@ -390,9 +406,6 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
     from .report import Report
     report = Report()
     results: dict = {"checks": [], "valuations": [], "roundtrips": []}
-    elements = data.get("elements", [])
-    if not isinstance(elements, list):
-        raise InputError("hrv elements must be a list")
     elements = [_parsed("Laurent element", laurent_from_json, e)
                 for e in elements]
     if "valuation" in tasks:

@@ -25,8 +25,7 @@ from operator import add
 
 from .abelian import (
     FgAbGroup, AbHom, _matmul, element_preimages, factor_through,
-    fixed_subgroup, identity_matrix, is_isomorphism, key_contains, quotient,
-    subgroup_key,
+    fixed_subgroup, identity_matrix, is_isomorphism, quotient, subgroup_key,
 )
 from .groups import (
     FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps,
@@ -577,12 +576,12 @@ def abelianization_functor(system: SubgroupSystem,
 
 
 def fixed_point_functor(module: GModule, system: SubgroupSystem) -> RicFunctor:
-    """A_*: H -> A^H with inclusion restrictions and norm inductions."""
+    """A_*: H -> A^H, each distinct A^H presented once; inclusion res, norm ind."""
     amb = module.underlying
-    values, embeds = {}, {}
-    for key in system.points():
-        values[key], embeds[key] = fixed_subgroup(
-            amb, [module.action[a] for a in key])
+    values, embeds, keys = {}, {}, {}
+    for x in system.points():
+        k = fixed_subgroup(amb, [module.action[a] for a in x])
+        values[x], embeds[x] = keys.setdefault(k, k).presentation
 
     def ind_of(x, y):
         norm = AbHom.zero(amb, amb)
@@ -615,28 +614,27 @@ def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
 
     ``sub_gens[x]`` lists coordinate vectors generating the subvalue at x;
     every edge map must preserve the family (checked here against one
-    ``subgroup_key`` per point, each distinct (con map, gX) at x once;
-    NotSubfunctor on the first failing edge).  The induced res, ind and con
-    are built on the first read of any of them, each validated then by
-    ``AbHom.from_columns``, once per distinct (map, source, target).
+    ``SubgroupKey`` per point, never presented, each distinct (con map, gX)
+    at x once; NotSubfunctor on the first failing edge).  The induced res,
+    ind and con are built on the first read of any of them, each validated
+    then by ``AbHom.from_columns``, once per distinct (map, source, target).
     """
     dom = phi.domain
     keys = {x: subgroup_key(phi.values[x], sub_gens.get(x, [])) for x in dom.points()}
     for x in dom.points():
         gens = sub_gens.get(x, [])
         for y in dom.res_set(x):
-            if not key_contains(phi.values[y], keys[y], *map(phi.res[(y, x)], gens)):
+            if not keys[y].contains(*map(phi.res[(y, x)], gens)):
                 raise NotSubfunctor(f"res edge ({y},{x}) escapes subfunctor")
         tested = set()  # a skipped g repeats a passed (map, gX)
         for g in range(dom.group.order):
             edge = m, gx = phi.con[(g, x)], dom.conjugate(g, x)
             if edge not in tested:
                 tested.add(edge)
-                if not key_contains(phi.values[gx], keys[gx], *map(m, gens)):
+                if not keys[gx].contains(*map(m, gens)):
                     raise NotSubfunctor(f"con edge ({g},{x}) escapes subfunctor")
         for y in dom.ind_set(x):
-            if not key_contains(phi.values[x], keys[x],
-                                *map(phi.ind[(x, y)], sub_gens.get(y, []))):
+            if not keys[x].contains(*map(phi.ind[(x, y)], sub_gens.get(y, []))):
                 raise NotSubfunctor(f"ind edge ({x},{y}) escapes subfunctor")
     values, projs, lifts = {}, {}, {}
     for x in dom.points():
@@ -764,7 +762,7 @@ def check_galois_descent(phi: RicFunctor, hkey, ukey) -> bool:
         raise ValueError("U must be a restriction target of H")
     # fixed_subgroup rejects a con that does not map Phi(U) to itself
     _, emb = fixed_subgroup(phi.values[ukey],
-                            [phi.con[(x, ukey)] for x in h.elements])
+                            [phi.con[(x, ukey)] for x in h.elements]).presentation
     try:
         factored = factor_through(emb, phi.res[(ukey, hkey)])
     except ValueError:
@@ -787,7 +785,7 @@ def adjunction_maps(module: GModule, phi: RicFunctor, basis) -> AdjunctionResult
     system = phi.domain
     n0 = _validate_descent_basis(system, basis)
     _, counit = fixed_subgroup(module.underlying,
-                               [module.action[a] for a in n0.elements])
+                               [module.action[a] for a in n0.elements]).presentation
     counit_iso = is_isomorphism(counit)
 
     colim = functor_colimit(phi, basis)

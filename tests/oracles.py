@@ -109,10 +109,11 @@ def classical_tate_oracle(module, h, u):
     augmentation difference of a generating coset.
     """
     from classfield.abelian import (
-        AbHom, fixed_subgroup, hom_kernel, quotient,
+        AbHom, fixed_subgroup, kernel_key, quotient,
         element_preimage)
     amb = module.underlying
-    fixed_u, emb_u = fixed_subgroup(amb, [module.action[a] for a in u.elements])
+    fixed_u, emb_u = fixed_subgroup(
+        amb, [module.action[a] for a in u.elements]).presentation
     p = h.parent
     reps, seen = [], set()
     for x in h.elements:
@@ -130,7 +131,8 @@ def classical_tate_oracle(module, h, u):
         e = [1 if i == j else 0 for i in range(fixed_u.rank)]
         cols.append(list(norm_amb(emb_u(e))))
     # H^0 = A^H / N(A^U): present A^H as fixed points of all of H
-    fixed_h, emb_h = fixed_subgroup(amb, [module.action[a] for a in h.elements])
+    fixed_h, emb_h = fixed_subgroup(
+        amb, [module.action[a] for a in h.elements]).presentation
     norm_into_h = []
     for col in cols:
         x = element_preimage(emb_h, col)
@@ -146,7 +148,7 @@ def classical_tate_oracle(module, h, u):
         assert x is not None
         norm_on_fixed_cols.append(list(x))
     norm_end = AbHom.from_columns(fixed_u, fixed_u, norm_on_fixed_cols)
-    ker, ker_emb = hom_kernel(norm_end)
+    ker, ker_emb = kernel_key(norm_end).presentation
     aug_gens = []
     ident = AbHom.identity(amb)
     for r in reps:

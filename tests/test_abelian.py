@@ -12,13 +12,11 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 import classfield.abelian as abelian
 from classfield.abelian import (
-    _hnf_key, _matmul, AbHom, FgAbGroup, element_preimages, factor_through,
-    fixed_subgroup, group_order, hom_cokernel, hom_image, hom_kernel,
+    _hnf_key, _matmul, AbHom, FgAbGroup, SubgroupKey, element_preimages,
+    factor_through, fixed_subgroup, group_order, hom_cokernel, hom_image,
     invert_isomorphism, is_injective, is_isomorphism, is_surjective, kernel_key,
-    mat_mul, quotient,
-    smith_decompose, solve_integer, subgroup_contains, subgroup_elements,
-    subgroup_from_generators, subgroup_intersection, subgroup_key,
-    subgroups_equal,
+    mat_mul, quotient, smith_decompose, solve_integer, subgroup_contains,
+    subgroup_elements, subgroup_from_generators, subgroup_key,
 )
 
 from conftest import catalog_groups, random_modules
@@ -127,18 +125,18 @@ class TestHoms:
 
     def test_kernel_injective_map(self):
         Z = FgAbGroup(1)
-        k, _ = hom_kernel(AbHom(Z, Z, ((2,),)))
+        k, _ = kernel_key(AbHom(Z, Z, ((2,),))).presentation
         assert k.is_trivial()
 
     def test_kernel_times_two_mod_four(self):
         a = FgAbGroup(0, (4,))
-        k, emb = hom_kernel(AbHom(a, a, ((2,),)))
+        k, emb = kernel_key(AbHom(a, a, ((2,),))).presentation
         assert k == FgAbGroup(0, (2,))
         # generated by the class of 2
         assert set(map(tuple, emb.image_generators())) == {(2,)}
 
     def test_kernel_zero_map(self):
-        k, _ = hom_kernel(AbHom.zero(FgAbGroup(0, (6,)), FgAbGroup(1)))
+        k, _ = kernel_key(AbHom.zero(FgAbGroup(0, (6,)), FgAbGroup(1))).presentation
         assert k == FgAbGroup(0, (6,))
 
     def test_order_law_exhaustive_small(self):
@@ -152,7 +150,7 @@ class TestHoms:
             except ValueError:
                 continue
             count += 1
-            k, _ = hom_kernel(h)
+            k, _ = kernel_key(h).presentation
             img, _ = hom_image(h)
             assert group_order(k) * group_order(img) == group_order(dom)
         assert count == 8  # 2 choices for the Z/2 column, 4 for the Z/4 one
@@ -191,8 +189,9 @@ class TestQuotients:
 class TestSubgroups:
     def test_intersection_in_z12(self):
         z12 = FgAbGroup(0, (12,))
-        inter = subgroup_intersection(z12, [[2]], [[3]])
-        assert subgroups_equal(z12, inter, [[6]])
+        inter = subgroup_key(z12, [[2]]).meet(subgroup_key(z12, [[3]]))
+        assert inter == subgroup_key(z12, [[6]])
+        assert inter.rows == ((6,),) and inter.ambient == z12
 
     def test_product_and_membership(self):
         z12 = FgAbGroup(0, (12,))
@@ -279,7 +278,7 @@ class TestHermiteKey:
         else:
             gens_b = draw_vectors(data, group, 3)
         same = subgroup_elements(group, gens_a) == subgroup_elements(group, gens_b)
-        assert subgroups_equal(group, gens_a, gens_b) == same
+        assert (subgroup_key(group, gens_a) == subgroup_key(group, gens_b)) == same
 
     @given(ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -314,18 +313,42 @@ class TestHermiteKey:
         assert _hnf_key(group.moduli, shuffled + extra) == key
 
     @given(ab_groups(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_generating_families_of_one_subgroup_give_one_presentation(
+            self, group, data):
+        gens = draw_vectors(data, group, 3)
+        key = subgroup_key(group, gens)
+        # another family of the same subgroup: a unimodular step g0 += c * g1,
+        # a redundant combination, and a new order
+        other = [list(g) for g in gens]
+        if len(other) > 1:
+            c = data.draw(st.integers(-3, 3))
+            other[0] = [u + c * v for u, v in zip(other[0], other[1])]
+        other = data.draw(st.permutations(other + [combination(data, group, gens)]))
+        for family in (other, list(key.rows)):
+            same = subgroup_key(group, family)
+            assert same == key and hash(same) == hash(key)
+            assert same.presentation == key.presentation
+        _, emb = key.presentation
+        assert is_injective(emb) and emb.codomain == group
+        assert subgroup_key(group, emb.image_generators()) == key
+        # the presentation is cached on the value and is not a field
+        assert "presentation" in vars(key)
+        assert SubgroupKey(group, key.rows) == key
+
+    @given(ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_intersection_matches_enumeration(self, group, data):
         gens_a = draw_vectors(data, group, 3)
         gens_b = draw_vectors(data, group, 3)
-        inter = subgroup_intersection(group, gens_a, gens_b)
+        inter = subgroup_key(group, gens_a).meet(subgroup_key(group, gens_b))
         if group.is_finite():
-            assert subgroup_elements(group, inter) == (
+            assert subgroup_elements(group, inter.rows) == (
                 subgroup_elements(group, gens_a) & subgroup_elements(group, gens_b))
-        for g in inter:
+        for g in inter.rows:
             assert snf_contains(group, gens_a, g) and snf_contains(group, gens_b, g)
         y = combination(data, group, gens_a)
-        assert subgroup_contains(group, inter, y) == snf_contains(group, gens_b, y)
+        assert inter.contains(y) == snf_contains(group, gens_b, y)
 
     @given(ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -333,7 +356,7 @@ class TestHermiteKey:
         # the lattice check compares this result with a key as it is
         gens_a = draw_vectors(data, group, 3)
         gens_b = draw_vectors(data, group, 3)
-        got = subgroup_intersection(group, gens_a, gens_b)
+        got = subgroup_key(group, gens_a).meet(subgroup_key(group, gens_b))
         k = group.rank
         doubled = _hnf_key(group.moduli * 2, [list(g) + list(g) for g in gens_a]
                            + [list(g) + [0] * k for g in gens_b])
@@ -351,10 +374,12 @@ class TestHermiteKey:
         gens_a = draw_vectors(data, group, 3)
         gens_b = draw_vectors(data, group, 3)
         key_a, key_b = subgroup_key(group, gens_a), subgroup_key(group, gens_b)
-        assert key_a == _hnf_key(group.moduli, gens_a)
-        assert subgroup_key(group, key_a + key_b) == subgroup_key(group, gens_a + gens_b)
-        assert (subgroup_key(group, subgroup_intersection(group, key_a, key_b))
-                == subgroup_key(group, subgroup_intersection(group, gens_a, gens_b)))
+        assert key_a.rows == _hnf_key(group.moduli, gens_a)
+        assert (subgroup_key(group, key_a.rows + key_b.rows)
+                == subgroup_key(group, gens_a + gens_b))
+        whole = subgroup_key(group, identity(group.rank))
+        assert key_a.meet(key_b) == key_b.meet(key_a)
+        assert key_a.meet(whole) == key_a == key_a.meet(key_a)
 
     @given(ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -423,7 +448,7 @@ class TestSolvePerMap:
         assert (xs is not None) == all(subgroup_contains(b, image, y) for y in ys)
         if xs is not None:
             assert [h(x) for x in xs] == [b.reduce(y) for y in ys]
-        assert is_injective(h) == hom_kernel(h)[0].is_trivial()
+        assert is_injective(h) == kernel_key(h).presentation[0].is_trivial()
         assert is_surjective(h) == hom_cokernel(h)[0].is_trivial()
 
     # Kernels whose presentation once ran the Smith decomposition of a kernel
@@ -442,12 +467,12 @@ class TestSolvePerMap:
     ])
     def test_kernel_presentation_finishes(self, data):
         def stalled(*_):
-            raise TimeoutError("hom_kernel did not finish in 20 s")
+            raise TimeoutError("the kernel presentation did not finish in 20 s")
         h = AbHom.from_json(data)
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.alarm(20)
         try:
-            kernel, embed = hom_kernel(h)
+            kernel, embed = kernel_key(h).presentation
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -455,7 +480,7 @@ class TestSolvePerMap:
         assert (subgroup_key(h.domain, embed.image_generators())
                 == subgroup_key(h.domain, smith_kernel(h)))
         # Smith kernel columns reach entries of 72, 708 and 28,096 here
-        assert max(abs(v) for row in kernel_key(h) for v in row) <= 16
+        assert max(abs(v) for row in kernel_key(h).rows for v in row) <= 16
 
 
 def smith_kernel(h):
@@ -490,7 +515,7 @@ class TestKernelKey:
         a = FgAbGroup(1, (2, 4))
         # e_0 -> 0, e_1 -> 0 (torsion into Z), e_2 -> 3
         h = AbHom(a, FgAbGroup(1), ((0, 0, 3),))
-        assert kernel_key(h) == ((1, 0, 0), (0, 1, 0))
+        assert kernel_key(h).rows == ((1, 0, 0), (0, 1, 0))
         assert kernel_key(AbHom.identity(a)) == subgroup_key(a, [])
 
 
@@ -502,7 +527,7 @@ class TestIsInjective:
     @settings(max_examples=150, deadline=None)
     def test_against_enumeration(self, a, b, data):
         h = draw_hom(data, a, b)
-        for f in (h, hom_kernel(h)[1]):  # the kernel's embedding is injective
+        for f in (h, kernel_key(h).presentation[1]):  # the kernel's embedding is injective
             elements = enumerate_value(f.domain)
             assert is_injective(f) == (len({f(x) for x in elements}) == len(elements))
 
@@ -578,7 +603,8 @@ class TestFixedSubgroup:
                           for x in amb.elements()}
             for h in group.all_subgroups():
                 endos = [action[a] for a in h.elements]
-                fixed, emb = fixed_subgroup(amb, endos)
+                key = fixed_subgroup(amb, endos)
+                fixed, emb = key.presentation
                 expected = {x for x, st_x in stabilizer.items()
                             if st_x >= set(h.elements)}
                 assert subgroup_elements(amb, emb.image_generators()) == expected
@@ -588,7 +614,8 @@ class TestFixedSubgroup:
                 subset += _generators(group, h.elements)
                 for family in (shuffled, endos + shuffled[:3],
                                [action[a] for a in subset]):
-                    assert fixed_subgroup(amb, family) == (fixed, emb)
+                    other = fixed_subgroup(amb, family)
+                    assert other == key and other.presentation == (fixed, emb)
 
     def test_rejects_an_endomorphism_of_another_group(self):
         amb = FgAbGroup(0, (2, 4))
@@ -598,7 +625,7 @@ class TestFixedSubgroup:
 
     def test_empty_family_fixes_the_whole_group(self):
         amb = FgAbGroup(1, (3,))
-        fixed, emb = fixed_subgroup(amb, [])
+        fixed, emb = fixed_subgroup(amb, []).presentation
         assert fixed == amb
         assert subgroup_key(amb, emb.image_generators()) == subgroup_key(
             amb, [[1, 0], [0, 1]])

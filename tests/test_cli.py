@@ -214,6 +214,11 @@ class TestExitCodeContract:
         ("hrv", [], "scenario must be a JSON object"),
         ("hrv", {"tasks": "roundtrip"}, "hrv tasks must be a list"),
         ("hrv", {"elements": [{"p": 2}]}, "invalid Laurent element"),
+        # a scenario that names no check to run must not pass vacuously
+        ("hrv", {"tasks": ["bogus"]}, "unknown hrv task 'bogus'"),
+        ("hrv", {"tasks": []}, "hrv tasks must name at least one of"),
+        ("hrv", {"tasks": ["roundtrip"]}, "'roundtrip' needs a field or elements"),
+        ("hrv", {}, "'valuation' needs elements"),
     ]
 
     def test_malformed_shapes_exit_2(self, tmp_path):

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+import classfield.abelian as abelian
 from classfield.abelian import AbHom, FgAbGroup, factor_through, is_isomorphism
 from classfield.catalog import cyclic, direct_product, symmetric
 from classfield.mackey import (
@@ -183,6 +186,22 @@ class TestFixedPointFunctor:
         fp = fixed_point_functor(trivial_module(c2, FgAbGroup(0)), sys)
         assert all(v.is_trivial() for v in fp.values.values())
         assert validate_ric_functor(fp).passed
+
+    def test_equal_fixed_points_share_one_presentation(self, group_catalog):
+        # D4 on (Z/4)^4: 10 points, 7 distinct A^H.  Every key there has four
+        # rows, so sharing by anything coarser than the key is caught.
+        g = group_catalog["D4"]
+        sys = full_system(g)
+        module = random_modules(g, seed=11, count=1)[0]
+        fp = fixed_point_functor(module, sys)
+        embeds = fp.meta["embeddings"]
+        keys = {x: abelian.subgroup_key(module.underlying, embeds[x].image_generators())
+                for x in sys.points()}
+        assert len(set(keys.values())) == 7
+        for x, y in combinations(sys.points(), 2):
+            assert (embeds[x] is embeds[y]) == (keys[x] == keys[y])
+            if keys[x] == keys[y]:
+                assert fp.values[x] is fp.values[y]
 
     def test_random_modules_full_suite(self, group_catalog):
         for name in ("S3", "D4", "C3xC3"):
