@@ -21,7 +21,7 @@ from .abelian import (
     is_surjective, kernel_key, quotient, subgroup_contains, subgroup_elements,
     subgroup_from_generators, subgroup_key,
 )
-from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps
+from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps, cosets
 from .mackey import (
     FunctorMorphism, NotMackeyCover, RicFunctor, SubgroupSystem,
     quotient_functor, quotient_table, validate_functor_morphism,
@@ -421,9 +421,8 @@ def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
             report.add("image_quotient_cyclic_of_index", ok_order and generated,
                        None if ok_order and generated else pair)
         # (ii) ind surjective on kernels
-        ind_k = _kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])
-        report.add("ind_surjective_on_kernels", is_surjective(ind_k),
-                   None if is_surjective(ind_k) else pair)
+        ok = is_surjective(_kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)]))
+        report.add("ind_surjective_on_kernels", ok, None if ok else pair)
         # (iii) |H^0| <= [H:U]
         h0, _ = tate_h0(c, hkey, ukey)
         ok = group_order(h0) <= n
@@ -624,7 +623,8 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     lift_ok = True
     certify = _norm_and_kernels(c, v, pair)
     coset_values: dict[int, tuple] = {}
-    for rep in coset_reps(h, u):
+    u_cosets = cosets(h, u)
+    for rep in u_cosets.reps:
         try:
             lifts = frobenius_lifts(datum, h, u, rep)
         except NoLiftInModel:
@@ -644,9 +644,7 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     cols, missing = [], []
     for i, rep in enumerate(cmap.gen_reps):
         # any U-coset inside the source class of the generator will do
-        candidates = sorted(
-            min(grp.table[grp.mul(rep, w)][x] for x in u.elements)
-            for w in n_sub.elements)
+        candidates = sorted(u_cosets.rep_of[grp.mul(rep, w)] for w in n_sub.elements)
         chosen = next((r for r in candidates if r in coset_values), None)
         if chosen is None:
             missing.append(i)

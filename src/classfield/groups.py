@@ -3,8 +3,10 @@ abelianization.
 
 Elements are integers 0..order-1 with 0 the identity; multiplication is a
 dense Cayley table.  All derived data (inverses, subgroup lattice,
-abelianized quotients) is cached on the group instance, so groups behave
-as immutable shared values.
+abelianized quotients, and the least-representative transversals that
+``cosets`` builds) is cached on the group instance, so groups behave as
+immutable shared values.  A transversal's ``rep_of`` answers "which coset
+is g in?" for every layer above this one.
 
 Composition order for T-permutations of a right transversal is pinned to
 "apply sigma_{T,g} first":  sigma_{T,g g'} = sigma_{T,g'} o sigma_{T,g}.
@@ -14,7 +16,7 @@ decomposition g = t * kappa_T(g) and satisfies the same composition law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import FgAbGroup, presentation_from_lattice
 
@@ -147,7 +149,9 @@ class FiniteGroup:
         return Subgroup(self, closure, validate=False)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order), validate=False)
+        if "full" not in self._cache:
+            self._cache["full"] = Subgroup(self, range(self.order), validate=False)
+        return self._cache["full"]
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), validate=False)
@@ -300,12 +304,15 @@ class Transversal:
 
     ``ambient`` defaults to the whole parent group; passing a subgroup
     gives a transversal of ``subgroup`` inside that ambient subgroup.
+    ``rep_of`` maps each element of the ambient to the representative of
+    its coset; it is built here and takes no part in equality or hashing.
     """
 
     subgroup: Subgroup
     side: str  # "right" or "left"
     reps: tuple[int, ...]
     ambient: Subgroup | None = None
+    rep_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
@@ -317,18 +324,20 @@ class Transversal:
                 raise ValueError("subgroup must lie inside the ambient")
             if not set(self.reps) <= self.ambient.element_set:
                 raise ValueError("representatives must lie in the ambient")
-            ambient_size = len(self.ambient)
-        seen = set()
+            ambient_size = len(self.ambient.elements)
+        rep_of: dict[int, int] = {}
         for t in self.reps:
-            if self.side == "right":
-                coset = frozenset(p.table[h][t] for h in self.subgroup.elements)
-            else:
-                coset = frozenset(p.table[t][h] for h in self.subgroup.elements)
-            if coset in seen:
+            # cosets partition the ambient and t lies in its own coset, so
+            # t repeats a coset exactly when an earlier coset holds it
+            if t in rep_of:
                 raise ValueError("representatives repeat a coset")
-            seen.add(coset)
-        if len(self.reps) * len(self.subgroup) != ambient_size:
+            if self.side == "right":
+                rep_of.update({p.table[h][t]: t for h in self.subgroup.elements})
+            else:
+                rep_of.update({p.table[t][h]: t for h in self.subgroup.elements})
+        if len(self.reps) * len(self.subgroup.elements) != ambient_size:
             raise ValueError("representatives do not cover the ambient")
+        object.__setattr__(self, "rep_of", rep_of)
 
     @property
     def is_unitary(self) -> bool:
@@ -349,44 +358,39 @@ def _min_reps(elements, block) -> tuple[int, ...]:
     return tuple(reps)
 
 
+def cosets(h: Subgroup, i: Subgroup, side: str = "left") -> Transversal:
+    """The transversal of the left (x*I) or right (I*x) cosets of i in h
+    by their least elements, ascending.
+
+    Memoised in the parent's cache, so one (h, i, side) gives one shared
+    object.  Its ambient is h, or None when h is the whole group; the
+    Transversal rejects an i outside h and a side other than these two.
+    """
+    p = h.parent
+    key = ("cosets", h.elements, i.elements, side)
+    if key not in p._cache:
+        table = p.table
+        if side == "left":
+            reps = _min_reps(h.elements, lambda x: [table[x][a] for a in i.elements])
+        else:
+            reps = _min_reps(h.elements, lambda x: [table[a][x] for a in i.elements])
+        ambient = None if len(h.elements) == p.order else h
+        p._cache[key] = Transversal(i, side, reps, ambient)
+    return p._cache[key]
+
+
 def coset_reps(h: Subgroup, i: Subgroup, side: str = "left") -> tuple[int, ...]:
     """Least element of each left (x*I) or right (I*x) coset of i in h."""
-    table = h.parent.table
-    if side == "left":
-        return _min_reps(h.elements, lambda x: (table[x][a] for a in i.elements))
-    if side == "right":
-        return _min_reps(h.elements, lambda x: (table[a][x] for a in i.elements))
-    raise ValueError("side must be 'right' or 'left'")
-
-
-def _transversal(g: FiniteGroup, h: Subgroup, side: str) -> Transversal:
-    t = Transversal(h, side, coset_reps(g.full_subgroup(), h, side))
-    if not t.is_unitary:
-        raise AssertionError("minimal-rep transversal must contain the identity")
-    return t
+    return cosets(h, i, side).reps
 
 
 def right_transversal(g: FiniteGroup, h: Subgroup) -> Transversal:
     """Deterministic right transversal: minimal element per coset, ascending."""
-    return _transversal(g, h, "right")
+    return cosets(g.full_subgroup(), h, "right")
 
 
 def left_transversal(g: FiniteGroup, h: Subgroup) -> Transversal:
-    return _transversal(g, h, "left")
-
-
-def _rep_of_coset(t: Transversal, g: int) -> int:
-    p = t.subgroup.parent
-    hset = t.subgroup.element_set
-    for r in t.reps:
-        if t.side == "right":
-            # g in H r  <=>  g r^-1 in H
-            if p.table[g][p.inverse[r]] in hset:
-                return r
-        else:
-            if p.table[p.inverse[r]][g] in hset:
-                return r
-    raise AssertionError("transversal misses a coset")
+    return cosets(g.full_subgroup(), h, "left")
 
 
 def t_remover(t: Transversal, g: int) -> int:
@@ -395,7 +399,9 @@ def t_remover(t: Transversal, g: int) -> int:
     Right transversal: g = kappa * rep; left transversal: g = rep * kappa.
     """
     p = t.subgroup.parent
-    r = _rep_of_coset(t, g)
+    r = t.rep_of.get(g)
+    if r is None:
+        raise ValueError(f"element {g} is outside the ambient of the transversal")
     if t.side == "right":
         return p.table[g][p.inverse[r]]
     return p.table[p.inverse[r]][g]
@@ -406,14 +412,13 @@ def t_permutation(t: Transversal, g: int) -> dict[int, int]:
 
     Left side mirror: g*t = sigma(t)*kappa(g*t).
     """
-    p = t.subgroup.parent
-    sigma = {}
-    for r in t.reps:
-        if t.side == "right":
-            sigma[r] = _rep_of_coset(t, p.table[r][g])
-        else:
-            sigma[r] = _rep_of_coset(t, p.table[g][r])
-    return sigma
+    # r*g and g*r lie in the ambient, which holds r, exactly when g does
+    if g not in t.rep_of:
+        raise ValueError(f"element {g} is outside the ambient of the transversal")
+    table = t.subgroup.parent.table
+    if t.side == "right":
+        return {r: t.rep_of[table[r][g]] for r in t.reps}
+    return {r: t.rep_of[table[g][r]] for r in t.reps}
 
 
 def double_coset_reps(g: FiniteGroup, u: Subgroup, v: Subgroup,
@@ -435,13 +440,8 @@ def double_coset_of(g: FiniteGroup, u: Subgroup, v: Subgroup, x: int) -> frozens
     return frozenset(out)
 
 
-def lift_double_coset_transversal(g: FiniteGroup, u: Subgroup, v: Subgroup,
-                                  reps, transversals) -> Transversal:
-    """Right transversal of U in G from double-coset data.
-
-    ``transversals`` maps each rho in reps to a right transversal of
-    U^rho n V in V; the lifted reps are the products rho*t.
-    """
+def check_double_coset_reps(g: FiniteGroup, u: Subgroup, v: Subgroup, reps) -> None:
+    """Raise InvalidReps unless the (U,V)-double cosets of reps partition G."""
     covered = set()
     for rho in reps:
         dc = double_coset_of(g, u, v, rho)
@@ -450,6 +450,16 @@ def lift_double_coset_transversal(g: FiniteGroup, u: Subgroup, v: Subgroup,
         covered |= dc
     if len(covered) != g.order:
         raise InvalidReps("double cosets do not cover the group")
+
+
+def lift_double_coset_transversal(g: FiniteGroup, u: Subgroup, v: Subgroup,
+                                  reps, transversals) -> Transversal:
+    """Right transversal of U in G from double-coset data.
+
+    ``transversals`` maps each rho in reps to a right transversal of
+    U^rho n V in V; the lifted reps are the products rho*t.
+    """
+    check_double_coset_reps(g, u, v, reps)
     lifted = []
     for rho in reps:
         t_rho = transversals[rho]
@@ -521,8 +531,8 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
     if not r.is_normal_in(h):
         raise ValueError("kernel must be normal in the subgroup")
     # cosets with min-element representatives
-    reps = coset_reps(h, r)
-    rep_of = {p.table[x][a]: x for x in reps for a in r.elements}
+    t = cosets(h, r)
+    reps, rep_of = t.reps, t.rep_of
 
     def cmul(a, b):
         return rep_of[p.table[a][b]]
@@ -599,12 +609,11 @@ def quotient_group(g: FiniteGroup, n: Subgroup,
     """Quotient by a normal subgroup; returns the group and g -> index map."""
     if not n.is_normal():
         raise ValueError("quotient needs a normal subgroup")
-    reps = coset_reps(g.full_subgroup(), n)
-    rep_of = {g.table[x][a]: x for x in reps for a in n.elements}
-    index = {r: i for i, r in enumerate(reps)}
-    table = [[index[rep_of[g.table[a][b]]] for b in reps] for a in reps]
+    t = cosets(g.full_subgroup(), n)
+    index = {r: i for i, r in enumerate(t.reps)}
+    table = [[index[t.rep_of[g.table[a][b]]] for b in t.reps] for a in t.reps]
     q = FiniteGroup(table, name=name or f"{g.name}/N", validate=False)
-    return q, [index[rep_of[x]] for x in range(g.order)]
+    return q, [index[t.rep_of[x]] for x in range(g.order)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .abelian import (
     fixed_subgroup, identity_matrix, is_isomorphism, quotient, subgroup_key,
 )
 from .groups import (
-    FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps,
+    FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps, cosets,
     double_coset_reps, left_transversal, subgroup_id_to_key, subgroup_key_to_id,
 )
 from .ramification import RamificationDatum, degrees
@@ -254,12 +254,9 @@ def permutation_module(group: FiniteGroup, stabilizer: Subgroup,
     by the +-1 character with the given kernel when provided.
     """
     p = group
-    reps = left_transversal(p, stabilizer).reps
-    index = {}
-    for i, r in enumerate(reps):
-        for a in stabilizer.elements:
-            index[p.table[r][a]] = i
-    n = len(reps)
+    t = left_transversal(p, stabilizer)
+    index = {r: i for i, r in enumerate(t.reps)}
+    n = len(t.reps)
     underlying = FgAbGroup(n) if torsion == 0 else FgAbGroup(0, (torsion,) * n)
     action = {}
     for g in range(p.order):
@@ -267,8 +264,8 @@ def permutation_module(group: FiniteGroup, stabilizer: Subgroup,
         if sign_kernel is not None and g not in sign_kernel.element_set:
             sign = -1
         cols = []
-        for r in reps:
-            target = index[p.table[g][r]]
+        for r in t.reps:
+            target = index[t.rep_of[p.table[g][r]]]
             col = [0] * n
             col[target] = sign
             cols.append(col)
@@ -528,13 +525,9 @@ def stable_table(domain, values: dict, res_of, ind_of, con_of,
             res.update(((y, x), res_of(y, x)) for y in domain.res_set(x))
             ind.update(((x, y), ind_of(x, y)) for y in domain.ind_set(x))
             h = domain.subgroup(x)
-            key = ("left_cosets", h.elements)  # shared by every point over H
-            if key not in grp._cache:
-                reps = coset_reps(grp.full_subgroup(), h)
-                grp._cache[key] = reps, {grp.table[r][a]: r for r in reps for a in h}
-            reps, rep_of = grp._cache[key]
-            maps = {r: con_of(r, x, domain.conjugate(r, x)) for r in reps}
-            con.update(((g, x), maps[rep_of[g]]) for g in range(grp.order))
+            t = cosets(grp.full_subgroup(), h)  # shared by every point over H
+            maps = {r: con_of(r, x, domain.conjugate(r, x)) for r in t.reps}
+            con.update(((g, x), maps[t.rep_of[g]]) for g in range(grp.order))
         return res, ind, con
     return RicFunctor.deferred(domain, values, build, meta)
 

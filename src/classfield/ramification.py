@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, cosets
 from .report import ModelLimit
 
 
@@ -147,7 +147,6 @@ def d_horizon(datum: RamificationDatum, h: Subgroup):
 
 def frobenius_element(datum: RamificationDatum, h: Subgroup, u: Subgroup) -> int:
     """Minimal representative of the relative Frobenius coset in H/U."""
-    p = h.parent
     if not u.is_subgroup_of(h) or not u.is_normal_in(h):
         raise NotUnramified("U must be a normal subgroup of H")
     if inertia_subgroup(datum, u).elements != inertia_subgroup(datum, h).elements:
@@ -155,7 +154,7 @@ def frobenius_element(datum: RamificationDatum, h: Subgroup, u: Subgroup) -> int
     values, _ = d_horizon(datum, h)
     for a in sorted(values):
         if values[a] == 1:
-            return min(p.table[a][x] for x in u.elements)
+            return cosets(h, u).rep_of[a]
     raise AssertionError("d_H must be surjective")
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
-    FiniteGroup, Subgroup, Transversal, InvalidReps,
-    right_transversal, t_remover, double_coset_of,
+    FiniteGroup, Subgroup, Transversal, check_double_coset_reps, cosets,
+    right_transversal, t_remover,
 )
 
 
@@ -45,22 +45,20 @@ def _coabelian_check(h: Subgroup, r: Subgroup):
                 raise ValueError("quotient by the given subgroup is not abelian")
 
 
-def _coset_rep(h: Subgroup, r: Subgroup, x: int) -> int:
+def _check_transfer_pair(big: Subgroup, h: Subgroup, r_h: Subgroup,
+                         r_big: Subgroup) -> None:
+    """Raise unless {R_H, R_big} is a transfer inducing pair for H <= big."""
+    # memoized per parent group, keyed by the (big, H, R_H, R_big) tuple
     p = h.parent
-    return min(p.table[x][a] for a in r.elements)
-
-
-def _is_transfer_inducing(g: FiniteGroup, h: Subgroup, r_h: Subgroup,
-                          r_g: Subgroup) -> bool:
-    # memoized per group instance, keyed by the (H, R_H, R_G) triple
-    key = ("transfer_pair", h.elements, r_h.elements, r_g.elements)
-    if key not in g._cache:
+    key = ("transfer_pair", big.elements, h.elements, r_h.elements, r_big.elements)
+    if key not in p._cache:
         _coabelian_check(h, r_h)
-        _coabelian_check(g.full_subgroup(), r_g)
-        t = right_transversal(g, h)
-        g._cache[key] = all(
-            pretransfer(g, h, t, x) in r_h.element_set for x in r_g.elements)
-    return g._cache[key]
+        _coabelian_check(big, r_big)
+        p._cache[key] = all(
+            y in r_h.element_set for y in _pretransfers(big, h, r_big.elements))
+    if not p._cache[key]:
+        raise NotTransferInducing(
+            "pretransfer does not map R_G into R_H for this pair")
 
 
 def transfer(g: FiniteGroup, h: Subgroup, r_h: Subgroup, r_g: Subgroup,
@@ -71,11 +69,9 @@ def transfer(g: FiniteGroup, h: Subgroup, r_h: Subgroup, r_g: Subgroup,
     independent of the transversal and defines a homomorphism
     G/R_G -> H/R_H.
     """
-    if not _is_transfer_inducing(g, h, r_h, r_g):
-        raise NotTransferInducing(
-            "pretransfer does not map R_G into R_H for this pair")
+    _check_transfer_pair(g.full_subgroup(), h, r_h, r_g)
     t = transversal if transversal is not None else right_transversal(g, h)
-    return _coset_rep(h, r_h, pretransfer(g, h, t, x))
+    return cosets(h, r_h).rep_of[pretransfer(g, h, t, x)]
 
 
 def transfer_between(h_small: Subgroup, h_big: Subgroup, r_small: Subgroup,
@@ -85,14 +81,9 @@ def transfer_between(h_small: Subgroup, h_big: Subgroup, r_small: Subgroup,
     Used for restriction maps of abelianization functors, where the
     ambient pair is (H_big, H_small) rather than (G, H).
     """
-    g = h_big.parent
-    sub = _subgroup_as_group(h_big)
-    small_inside = Subgroup(sub.group, [sub.index[e] for e in h_small.elements],
-                            validate=False)
-    rs = Subgroup(sub.group, [sub.index[e] for e in r_small.elements], validate=False)
-    rb = Subgroup(sub.group, [sub.index[e] for e in r_big.elements], validate=False)
-    y = transfer(sub.group, small_inside, rs, rb, sub.index[x])
-    return sub.elements[y]
+    _check_transfer_pair(h_big, h_small, r_small, r_big)
+    (y,) = _pretransfers(h_big, h_small, [x])
+    return cosets(h_small, r_small).rep_of[y]
 
 
 @dataclass
@@ -117,14 +108,10 @@ def _subgroup_as_group(h: Subgroup) -> _AsGroup:
 
 
 def _pretransfers(h: Subgroup, i: Subgroup, xs) -> list[int]:
-    """Pretransfer from h to its subgroup i of each x in xs, in the parent."""
-    sub = _subgroup_as_group(h)
-    key = ("inner_transversal", i.elements)  # built once per (h, i)
-    if key not in sub.group._cache:
-        inner_i = Subgroup(sub.group, [sub.index[e] for e in i.elements], validate=False)
-        sub.group._cache[key] = right_transversal(sub.group, inner_i)
-    t = sub.group._cache[key]
-    return [sub.elements[pretransfer(sub.group, t.subgroup, t, sub.index[x])] for x in xs]
+    """Pretransfer from h to its subgroup i of each x in xs, in the parent,
+    along the least-representative right transversal of i inside h."""
+    t = cosets(h, i, "right")
+    return [pretransfer(h.parent, i, t, x) for x in xs]
 
 
 def lambda_exponent(g: FiniteGroup, h: Subgroup, x: int, rho: int) -> int:
@@ -148,15 +135,7 @@ def transfer_via_lambda(g: FiniteGroup, h: Subgroup, r_h: Subgroup, x: int,
     product of rho * x^lambda * rho^-1 modulo R_H.
     """
     _coabelian_check(h, r_h)
-    cyc = g.generated_subgroup([x])
-    covered = set()
-    for rho in reps:
-        dc = double_coset_of(g, h, cyc, rho)
-        if covered & dc:
-            raise InvalidReps("representatives repeat a double coset")
-        covered |= dc
-    if len(covered) != g.order:
-        raise InvalidReps("representatives do not cover the group")
+    check_double_coset_reps(g, h, g.generated_subgroup([x]), reps)
     total = 0
     out = 0
     for rho in reps:
@@ -165,7 +144,7 @@ def transfer_via_lambda(g: FiniteGroup, h: Subgroup, r_h: Subgroup, x: int,
         out = g.mul(out, g.conj(rho, g.power(x, lam)))
     if total * len(h.elements) != g.order:
         raise AssertionError("lambda exponents do not sum to the index")
-    return _coset_rep(h, r_h, out)
+    return cosets(h, r_h).rep_of[out]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,17 @@ def catalog_groups(max_order=None):
     return out
 
 
+def relabeled(table, seed):
+    """The same group with elements 1..n-1 permuted by a seeded shuffle."""
+    n = len(table)
+    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out, perm
+
+
 def random_modules(group, seed=0, count=3, max_index=6, max_torsion=4):
     """Seeded permutation modules, optionally sign-twisted."""
     rng = random.Random(f"{seed}:{group.name}")

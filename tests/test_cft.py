@@ -27,7 +27,7 @@ from classfield.mackey import (
 from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
-from conftest import random_modules
+from conftest import random_modules, relabeled
 from oracles import (
     classical_tate_oracle, order_multiset, tate_h0_oracle,
     tate_hminus1_oracle,
@@ -795,17 +795,6 @@ def ordered_scan(assignment, spectrum, rsys):
                 if phi[u1] == phi[u2]:
                     return "r_lattice_injective", (hkey, u1, u2)
     return None
-
-
-def relabeled(table, seed):
-    """The same group with elements 1..n-1 permuted by a seeded shuffle."""
-    n = len(table)
-    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[perm[a]][perm[b]] = perm[table[a][b]]
-    return out, perm
 
 
 def norm_subgroup_verdicts(table, d):

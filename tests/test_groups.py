@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from classfield.catalog import (
 )
 from classfield.groups import (
     FiniteGroup, InvalidReps, Subgroup, Transversal, abelian_quotient,
-    abelianization, are_isomorphic, coset_reps,
+    abelianization, are_isomorphic, coset_reps, cosets,
     double_coset_reps, double_coset_of, left_transversal, lift_double_coset_transversal,
     normal_core, quotient_group, right_transversal, t_permutation, t_remover,
 )
@@ -254,6 +255,100 @@ class TestCosetReps:
         s3 = symmetric(3)
         with pytest.raises(ValueError):
             coset_reps(s3.full_subgroup(), s3.trivial_subgroup(), "up")
+
+
+def shuffled_transversal(g, i, side, ambient, rng):
+    """A random element of each coset of i, in random order."""
+    pool = list(range(g.order) if ambient is None else ambient.elements)
+    rng.shuffle(pool)
+    reps, seen = [], set()
+    for x in pool:
+        if x not in seen:
+            reps.append(x)
+            seen.update(g.table[x][a] if side == "left" else g.table[a][x]
+                        for a in i.elements)
+    return Transversal(i, side, tuple(reps), ambient)
+
+
+class TestCosetMemo:
+    def test_rep_of_matches_brute_force_membership(self, group_catalog):
+        # rep_of sends each element of the ambient to the representative
+        # whose coset holds it, for the memoised least-representative
+        # transversal and for shuffled ones with and without an ambient
+        rng = random.Random(18)
+        for name in ("S3", "D4", "Q8", "A4", "S4"):
+            g = group_catalog[name]
+            subs = g.all_subgroups()
+            for h in subs:
+                ambients = (None, h) if len(h) == g.order else (h,)
+                for i in (s for s in subs if s.is_subgroup_of(h)):
+                    for side in ("left", "right"):
+                        ts = [cosets(h, i, side)]
+                        ts += [shuffled_transversal(g, i, side, a, rng) for a in ambients]
+                        for t in ts:
+                            assert set(t.rep_of) == h.element_set
+                            for x in h.elements:
+                                r = t.rep_of[x]
+                                coset = {g.table[r][a] if side == "left"
+                                         else g.table[a][r] for a in i.elements}
+                                assert r in t.reps and x in coset
+
+    def test_equal_transversals_stay_equal(self, group_catalog):
+        g = group_catalog["S4"]
+        full = g.full_subgroup()
+        for h in g.all_subgroups():
+            for side, make in (("right", right_transversal), ("left", left_transversal)):
+                t = make(g, h)
+                fresh = Transversal(h, side, coset_reps(full, h, side))
+                assert fresh is not t
+                assert fresh == t and hash(fresh) == hash(t)
+                assert repr(fresh) == repr(t) and "rep_of" not in repr(t)
+                assert fresh.rep_of == t.rep_of
+                if len(t.reps) > 1:
+                    # another order of the same reps: same cosets, another transversal
+                    backwards = Transversal(h, side, t.reps[::-1])
+                    assert backwards != t and backwards.rep_of == t.rep_of
+
+    def test_one_object_per_subgroup_pair_and_side(self):
+        s3 = symmetric(3)
+        full = s3.full_subgroup()
+        i, j = [h for h in s3.all_subgroups() if len(h) == 2][:2]
+        t = cosets(full, i)
+        # equal handles built afresh find the same object
+        assert cosets(Subgroup(s3, range(6)), Subgroup(s3, i.elements), "left") is t
+        assert left_transversal(s3, i) is t and t.ambient is None
+        right = cosets(full, i, "right")
+        assert right_transversal(s3, i) is right
+        assert right is not t and right != t
+        assert cosets(full, j) is not t and cosets(full, j) != t
+        a3 = next(h for h in s3.all_subgroups() if len(h) == 3)
+        inner = cosets(a3, s3.trivial_subgroup())
+        assert inner.ambient == a3 and inner.reps == a3.elements
+        assert inner is not cosets(full, s3.trivial_subgroup())
+
+    def test_rejects_a_subgroup_outside_h(self, group_catalog):
+        # {0, 3} does not lie in {0, 1}; a refusal is not memoised
+        s3 = group_catalog["S3"]
+        h, i = s3.subgroup((0, 1)), s3.subgroup((0, 3))
+        for _ in range(2):
+            for side in ("left", "right"):
+                with pytest.raises(ValueError, match="inside the ambient"):
+                    coset_reps(h, i, side)
+                with pytest.raises(ValueError, match="inside the ambient"):
+                    cosets(h, i, side)
+
+    def test_element_outside_the_ambient_is_named(self, group_catalog):
+        s3 = group_catalog["S3"]
+        v = s3.subgroup((0, 1))
+        for t in (Transversal(s3.trivial_subgroup(), "right", (1, 0), ambient=v),
+                  cosets(v, s3.trivial_subgroup(), "left")):
+            for outside in (3, 99):
+                with pytest.raises(ValueError, match=f"element {outside} is outside"):
+                    t_remover(t, outside)
+                with pytest.raises(ValueError, match=f"element {outside} is outside"):
+                    t_permutation(t, outside)
+            assert t_permutation(t, 1) == {0: 1, 1: 0}
+            assert [t_remover(t, x) for x in v.elements] == [0, 0]
 
 
 class TestNormalCore:

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from classfield.catalog import cyclic, symmetric
 from classfield.groups import (
-    InvalidReps, Transversal, commutator_subgroup,
+    FiniteGroup, InvalidReps, Subgroup, Transversal, commutator_subgroup,
     double_coset_reps, right_transversal,
 )
 from classfield.mackey import full_system
@@ -13,6 +14,8 @@ from classfield.transfer import (
     lambda_exponent, pretransfer, transfer, transfer_via_lambda,
     trivial_system, validate_abelianization_system, AbelianizationSystem,
 )
+
+from conftest import catalog_groups, relabeled
 
 
 def coset_rep(g, h, r_h, x):
@@ -157,6 +160,30 @@ class TestTransfer:
                     via = coset_rep(g, low, r_low, via)
                     direct = transfer(g, low, r_low, r_g, x)
                     assert via == direct
+
+
+class TestLabelIndependence:
+    def test_transfer_commutes_with_relabelling(self):
+        # under a relabelling pi fixing 0, pi(transfer(x)) and the relabelled
+        # transfer of pi(x) lie in one coset of pi(R_H); the least elements
+        # of that coset may differ between the two labellings
+        moved = 0
+        for g, seed in itertools.product(catalog_groups(max_order=16), range(3)):
+            table, perm = relabeled(g.table, seed)
+            g2 = FiniteGroup(table, validate=False)
+
+            def image(s):
+                return Subgroup(g2, (perm[a] for a in s.elements), validate=False)
+            r_g = commutator_subgroup(g.full_subgroup())
+            for h in g.all_subgroups():
+                r_h = commutator_subgroup(h)
+                h2, r_h2, r_g2 = image(h), image(r_h), image(r_g)
+                for x in range(g.order):
+                    a = perm[transfer(g, h, r_h, r_g, x)]
+                    b = transfer(g2, h2, r_h2, r_g2, perm[x])
+                    assert g2.table[g2.inverse[a]][b] in r_h2.element_set, (g.name, seed, h, x)
+                    moved += a != b
+        assert moved > 0  # the coset, not its least element, is label-free
 
 
 class TestLambdaPresentation:
