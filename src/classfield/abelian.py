@@ -14,11 +14,12 @@ the canonical Hermite normal form of its preimage lattice in Z^rank, so
 equal subgroups have equal keys.  The key answers membership (``contains``)
 and intersection (``meet``), and it presents its subgroup once, on the
 first read of ``presentation``.  Kernels come from the same form:
-``kernel_key`` reads the key of ker h off the Hermite form of the graph of
+``h.kernel`` reads the key of ker h off the Hermite form of the graph of
 h, and every kernel, fixed-point group and relation lattice is taken from
-it, never from Smith transform columns, whose entries blow up.  Everything
-runs over plain Python integers, so there is no overflow and no floating
-point.
+it, never from Smith transform columns, whose entries blow up.  A map's
+``kernel``, ``image`` and ``cokernel`` are cached on it like ``_smith``,
+so a map kept in a table derives each of them once.  Everything runs over
+plain Python integers, so there is no overflow and no floating point.
 """
 
 from __future__ import annotations
@@ -315,8 +316,9 @@ class AbHom:
     """Homomorphism between groups in normal form, as an integer matrix.
 
     Column j holds the image of the j-th canonical domain generator;
-    composition is matrix product.  The cached ``_smith`` is not a field, so
-    it takes no part in equality, hashing or ``to_json``.
+    composition is matrix product.  The cached ``_smith``, ``kernel``,
+    ``image`` and ``cokernel`` are not fields, so they take no part in
+    equality, hashing, ``repr`` or ``to_json``.
     """
 
     domain: FgAbGroup
@@ -347,6 +349,34 @@ class AbHom:
         rel = self.codomain.relation_columns()
         return smith_decompose([list(row) + [col[i] for col in rel]
                                 for i, row in enumerate(self.matrix)])
+
+    @cached_property
+    def kernel(self) -> "SubgroupKey":
+        """``subgroup_key`` of ker h inside ``domain``.
+
+        The rows ``(h(e_j), e_j)`` plus the relations of both groups span
+        the graph ``{(h(x), x)}``.  Its echelon rows that vanish on the
+        codomain half span the vectors ``(0, x)`` with h(x) = 0; their domain
+        halves are echelon and reduced, as in ``SubgroupKey.meet``: the key
+        of ker h.  Being reduced, its entries stay small where Smith
+        transform columns blow up (Kannan and Bachem, SIAM J. Comput. 8(4),
+        1979).
+        """
+        k = self.codomain.rank
+        rows = [col + e for col, e in
+                zip(self.image_generators(), identity_matrix(self.domain.rank))]
+        key = _hnf_key(self.codomain.moduli + self.domain.moduli, rows)
+        return SubgroupKey(self.domain, tuple(r[k:] for r in key if not any(r[:k])))
+
+    @cached_property
+    def image(self) -> "SubgroupKey":
+        """``subgroup_key`` of the image inside ``codomain``."""
+        return subgroup_key(self.codomain, self.image_generators())
+
+    @cached_property
+    def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
+        """The cokernel with the projection from ``codomain``."""
+        return quotient(self.codomain, self.image_generators())
 
     def __call__(self, vector) -> tuple[int, ...]:
         vector = self.domain.reduce(vector)
@@ -461,7 +491,7 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup,
     # Z^n -> ambient, e_j -> g_j: its kernel is the lattice of relations
     span = AbHom._trusted(FgAbGroup(len(gens)), ambient,
                           [[g[i] for g in gens] for i in range(ambient.rank)])
-    s, _, from_new = presentation_from_lattice(len(gens), list(kernel_key(span).rows))
+    s, _, from_new = presentation_from_lattice(len(gens), list(span.kernel.rows))
     return s, AbHom.from_columns(s, ambient, [span(rep) for rep in from_new])
 
 
@@ -473,23 +503,12 @@ def quotient(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup, AbHom]:
     return q, AbHom.from_columns(ambient, q, cols)
 
 
-def hom_image(h: AbHom) -> tuple[FgAbGroup, AbHom]:
-    """Image of a homomorphism as a subgroup of the codomain."""
-    return subgroup_from_generators(h.codomain, h.image_generators())
-
-
-def hom_cokernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
-    """Cokernel of a homomorphism, with the projection from the codomain."""
-    return quotient(h.codomain, h.image_generators())
-
-
 def is_surjective(h: AbHom) -> bool:
-    return subgroup_key(h.codomain, h.image_generators()).contains(
-        *identity_matrix(h.codomain.rank))
+    return h.image.contains(*identity_matrix(h.codomain.rank))
 
 
 def is_injective(h: AbHom) -> bool:
-    return kernel_key(h) == subgroup_key(h.domain, [])
+    return h.kernel == subgroup_key(h.domain, [])
 
 
 def is_isomorphism(h: AbHom) -> bool:
@@ -617,22 +636,6 @@ def subgroup_contains(ambient: FgAbGroup, gens: list, *xs) -> bool:
     return subgroup_key(ambient, gens).contains(*xs)
 
 
-def kernel_key(h: AbHom) -> SubgroupKey:
-    """``subgroup_key`` of ker h inside ``h.domain``.
-
-    The rows ``(h(e_j), e_j)`` plus the relations of both groups span the
-    graph ``{(h(x), x)}``.  Its echelon rows that vanish on the codomain half
-    span the vectors ``(0, x)`` with h(x) = 0; their domain halves are
-    echelon and reduced, as in ``SubgroupKey.meet``: the key of ker h.
-    Being reduced, its entries stay small where Smith transform columns
-    blow up (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
-    """
-    k = h.codomain.rank
-    rows = [col + e for col, e in zip(h.image_generators(), identity_matrix(h.domain.rank))]
-    key = _hnf_key(h.codomain.moduli + h.domain.moduli, rows)
-    return SubgroupKey(h.domain, tuple(r[k:] for r in key if not any(r[:k])))
-
-
 def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> SubgroupKey:
     """Key of the common fixed points of a family of endomorphisms of ``ambient``.
 
@@ -649,7 +652,7 @@ def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> SubgroupKey:
             continue
         minus_one = AbHom._trusted(ambient, ambient, (
             [v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(e.matrix)))
-        key = key.meet(kernel_key(minus_one))
+        key = key.meet(minus_one.kernel)
     return key
 
 

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 from .abelian import (
     AbHom, FgAbGroup, element_preimage, element_preimages, factor_through,
-    group_order, hom_cokernel, identity_matrix, is_injective, is_isomorphism,
-    is_surjective, kernel_key, quotient, subgroup_contains, subgroup_elements,
-    subgroup_from_generators, subgroup_key,
+    group_order, identity_matrix, is_injective, is_isomorphism, is_surjective,
+    quotient, subgroup_contains, subgroup_elements, subgroup_key,
 )
 from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps, cosets
 from .mackey import (
@@ -253,7 +251,7 @@ def induction_representation(c: RicFunctor, spectrum: Spectrum) -> RicFunctor:
 
 def tate_h0(c: RicFunctor, hkey, ukey) -> tuple[FgAbGroup, AbHom]:
     """Cokernel of ind_{H,U} with the projection from C(H)."""
-    return hom_cokernel(c.ind[(hkey, ukey)])
+    return c.ind[(hkey, ukey)].cokernel
 
 
 def _cyclic_generator_rep(h: Subgroup, u: Subgroup) -> int | None:
@@ -282,7 +280,7 @@ def tate_hminus1(c: RicFunctor, hkey, ukey,
     u = sys.subgroup(ukey)
     if not u.is_normal_in(h):
         raise ValueError("Tate groups need U normal in H")
-    kernel, embed = kernel_key(c.ind[(hkey, ukey)]).presentation
+    kernel, embed = c.ind[(hkey, ukey)].kernel.presentation
     gen = _cyclic_generator_rep(h, u) if cyclic_shortcut else None
     reps = [gen] if gen is not None else coset_reps(h, u)
     value = c.values[ukey]
@@ -379,8 +377,8 @@ def prime_elements_exist(v: ValuationFamily, hkey) -> tuple[int, ...] | None:
 
 def _kernel_map(v: ValuationFamily, src_key, dst_key, edge: AbHom):
     """Restrict an edge map of C to the kernels of the valuation."""
-    _, emb_src = kernel_key(v.components[src_key]).presentation
-    _, emb_dst = kernel_key(v.components[dst_key]).presentation
+    _, emb_src = v.components[src_key].kernel.presentation
+    _, emb_dst = v.components[dst_key].kernel.presentation
     return factor_through(emb_dst, edge.compose(emb_src))
 
 
@@ -402,10 +400,9 @@ def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
             continue
         n = len(hkey) // len(ukey)
         # (i) Im(v_H) / n Im(v_U) cyclic of order n generated by omega
-        im_h = v.components[hkey].image_generators()
         im_u_scaled = [list(omega.scale(n, col))
                        for col in v.components[ukey].image_generators()]
-        s, emb = subgroup_from_generators(omega, im_h)
+        s, emb = v.components[hkey].image.presentation
         rel_gens = element_preimages(emb, im_u_scaled)
         if rel_gens is None:
             report.add("index_subgroup_inclusion", False, pair)
@@ -458,13 +455,11 @@ class ReciprocityTable:
 
 def _prime_independence(c: RicFunctor, v: ValuationFamily, hkey, ukey) -> bool:
     """All primes of C(H) agree mod ind C(U): ker(v_H) <= Im(ind_{H,U})."""
-    norm_key, kernel_gens = _norm_and_kernels(c, v, (hkey, ukey))
-    return norm_key.contains(*kernel_gens(hkey))
+    return c.ind[(hkey, ukey)].image.contains(*v.components[hkey].kernel.rows)
 
 
 def unramified_upsilon(c: RicFunctor, v: ValuationFamily,
-                       datum: RamificationDatum, pair: PairKey,
-                       validated: bool = False) -> ReciprocityTable:
+                       datum: RamificationDatum, pair: PairKey) -> ReciprocityTable:
     """Frobenius -> prime-element table for an unramified pair.
 
     The source H/U is cyclic, generated by the relative Frobenius; the
@@ -476,17 +471,14 @@ def unramified_upsilon(c: RicFunctor, v: ValuationFamily,
     h = sys.subgroup(hkey)
     u = sys.subgroup(ukey)
     n = len(hkey) // len(ukey)
-    if not validated:
-        if inertia_subgroup(datum, u).elements != inertia_subgroup(datum, h).elements:
-            raise NotUrFnd(f"pair {pair} is not unramified")
-        ind_k = _kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])
-        if not is_surjective(ind_k):
-            raise NotUrFnd(f"ind not surjective on kernels at {pair}")
-        h0, _ = tate_h0(c, hkey, ukey)
-        if not group_order(h0) <= n:
-            raise NotUrFnd(f"|H^0| exceeds the index at {pair}")
-    source, cmap = abelian_quotient(h, u)
+    if inertia_subgroup(datum, u).elements != inertia_subgroup(datum, h).elements:
+        raise NotUrFnd(f"pair {pair} is not unramified")
+    if not is_surjective(_kernel_map(v, ukey, hkey, c.ind[(hkey, ukey)])):
+        raise NotUrFnd(f"ind not surjective on kernels at {pair}")
     target, proj = tate_h0(c, hkey, ukey)
+    if not group_order(target) <= n:
+        raise NotUrFnd(f"|H^0| exceeds the index at {pair}")
+    source, cmap = abelian_quotient(h, u)
     if hkey == ukey:
         return ReciprocityTable(pair, source, cmap, target, proj,
                                 AbHom.zero(source, target), is_iso=True,
@@ -539,10 +531,9 @@ def validate_fnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
                 con_diff = c.con[(phi, vkey)].add(
                     AbHom.identity(c.values[vkey]).scaled(-1))
                 con_k = _kernel_map(v, vkey, vkey, con_diff)
-                k_v = con_k.domain  # ker v_V
                 ok = (is_injective(res_k)
-                      and subgroup_key(k_v, res_k.image_generators()) == kernel_key(con_k)
-                      and subgroup_key(k_v, con_k.image_generators()) == kernel_key(ind_k)
+                      and res_k.image == con_k.kernel
+                      and con_k.image == ind_k.kernel
                       and is_surjective(ind_k))
                 report.add("kernel_sequence_exact", ok,
                            None if ok else (hkey, ukey, vkey))
@@ -558,20 +549,6 @@ def upsilon_tilde(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     ind_{H,Sigma}(pi^(P'(mult d_H(h)))) for the Frobenius group Sigma of
     h relative to U.
     """
-    return _upsilon_tilde(c, v, datum, h_elt, pair, tate_h0(c, *pair),
-                          certify_prime_independence and _norm_and_kernels(c, v, pair))
-
-
-def _norm_and_kernels(c, v, pair):
-    """Key of the norm subgroup ind C(U) of the pair, and ker v_Sigma's rows per Sigma."""
-    hkey, ukey = pair
-    return (subgroup_key(c.values[hkey], c.ind[(hkey, ukey)].image_generators()),
-            cache(lambda skey: kernel_key(v.components[skey]).rows))
-
-
-def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify):
-    """``upsilon_tilde`` given h0 = ``tate_h0`` and, to certify prime
-    independence, certify = ``_norm_and_kernels``, both kept per pair."""
     hkey, ukey = pair
     sys = c.domain
     h = sys.subgroup(hkey)
@@ -584,13 +561,12 @@ def _upsilon_tilde(c, v, datum, h_elt, pair, h0, certify):
     pi = prime_elements_exist(v, skey)
     if pi is None:
         raise NotUrFnd(f"no prime element in C(Sigma) at {skey}")
-    target, proj = h0
+    target, proj = tate_h0(c, hkey, ukey)
     value = proj(c.ind[(hkey, skey)](c.values[skey].scale(pprime, pi)))
-    if certify:
-        norm_key, kernel_gens = certify
+    if certify_prime_independence:
         shifted = [c.ind[(hkey, skey)](c.values[skey].scale(pprime, col))
-                   for col in kernel_gens(skey)]
-        if not norm_key.contains(*shifted):
+                   for col in v.components[skey].kernel.rows]
+        if not c.ind[(hkey, ukey)].image.contains(*shifted):
             raise NotUrFnd(
                 f"prime choice leaks through at Sigma={skey}, pair={pair}")
     return value, target, proj
@@ -614,14 +590,13 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
     comm = commutator_subgroup(h)
     n_sub = grp.generated_subgroup(list(ukey) + list(comm.elements))
     source, cmap = abelian_quotient(h, n_sub)
-    h0 = target, proj = tate_h0(c, hkey, ukey)
+    target, proj = tate_h0(c, hkey, ukey)
     if source.is_trivial() and target.is_trivial():
         return ReciprocityTable(pair, source, cmap, target, proj,
                                 AbHom.zero(source, target), is_iso=True,
                                 lift_independent=True, prime_independent=True)
 
     lift_ok = True
-    certify = _norm_and_kernels(c, v, pair)
     coset_values: dict[int, tuple] = {}
     u_cosets = cosets(h, u)
     for rep in u_cosets.reps:
@@ -632,7 +607,8 @@ def upsilon(c: RicFunctor, v: ValuationFamily, datum: RamificationDatum,
         vals = []
         for lift in lifts:
             try:
-                val, _, _ = _upsilon_tilde(c, v, datum, lift, pair, h0, certify)
+                val, _, _ = upsilon_tilde(c, v, datum, lift, pair,
+                                          certify_prime_independence=True)
             except DepthInsufficient:
                 continue  # this lift's multiplicity exceeds the horizon
             vals.append(val)
@@ -688,10 +664,9 @@ def certify_upsilon_tilde_multiplicative(c: RicFunctor, v: ValuationFamily,
     frob = [x for x in h.elements if d_vals[x] != 0]
     values = {}
     target = None
-    h0 = tate_h0(c, *pair)
     for x in list(frob):
         try:
-            values[x], target, _ = _upsilon_tilde(c, v, datum, x, pair, h0, False)
+            values[x], target, _ = upsilon_tilde(c, v, datum, x, pair)
         except DepthInsufficient:
             frob.remove(x)  # unrepresentable multiplicity: outside the model
     if target is None:

@@ -228,24 +228,19 @@ def frobenius_group(datum: RamificationDatum, h_elt: int, h: Subgroup,
 
 def _frobenius_unique(datum, h_elt, h, u, sigma) -> bool:
     """Exhaust all subgroups of H for a second group satisfying the axioms."""
-    from .transfer import _subgroup_as_group
-    sub = _subgroup_as_group(h)
-    inner = sub.group
     values, _ = d_horizon(datum, h)
     mult = values[h_elt]
     expected = _p_part(mult, datum.primes_p)
     i_u = inertia_subgroup(datum, u)
-    for cand in inner.all_subgroups():
-        outer = Subgroup(h.parent, [sub.elements[i] for i in cand.elements],
-                         validate=False)
-        if h_elt not in outer.element_set:
+    for cand in h.parent.all_subgroups():  # the parent's cached lattice
+        if h_elt not in cand.element_set or not cand.is_subgroup_of(h):
             continue
-        if inertia_subgroup(datum, outer).elements != i_u.elements:
+        if inertia_subgroup(datum, cand).elements != i_u.elements:
             continue
-        _, f_cand = degrees(datum, h, outer)
+        _, f_cand = degrees(datum, h, cand)
         if f_cand != expected:
             continue
-        if outer.elements != sigma.elements:
+        if cand.elements != sigma.elements:
             return False
     return True
 

@@ -86,27 +86,6 @@ def transfer_between(h_small: Subgroup, h_big: Subgroup, r_small: Subgroup,
     return cosets(h_small, r_small).rep_of[y]
 
 
-@dataclass
-class _AsGroup:
-    group: FiniteGroup
-    elements: tuple[int, ...]
-    index: dict[int, int]
-
-
-def _subgroup_as_group(h: Subgroup) -> _AsGroup:
-    p = h.parent
-    key = ("asgroup", h.elements)
-    if key in p._cache:
-        return p._cache[key]
-    elems = h.elements
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[p.table[a][b]] for b in elems] for a in elems]
-    grp = FiniteGroup(table, name=f"{p.name}|{len(elems)}", validate=False)
-    out = _AsGroup(grp, elems, index)
-    p._cache[key] = out
-    return out
-
-
 def _pretransfers(h: Subgroup, i: Subgroup, xs) -> list[int]:
     """Pretransfer from h to its subgroup i of each x in xs, in the parent,
     along the least-representative right transversal of i inside h."""

@@ -109,7 +109,7 @@ def classical_tate_oracle(module, h, u):
     augmentation difference of a generating coset.
     """
     from classfield.abelian import (
-        AbHom, fixed_subgroup, kernel_key, quotient,
+        AbHom, fixed_subgroup, quotient,
         element_preimage)
     amb = module.underlying
     fixed_u, emb_u = fixed_subgroup(
@@ -148,7 +148,7 @@ def classical_tate_oracle(module, h, u):
         assert x is not None
         norm_on_fixed_cols.append(list(x))
     norm_end = AbHom.from_columns(fixed_u, fixed_u, norm_on_fixed_cols)
-    ker, ker_emb = kernel_key(norm_end).presentation
+    ker, ker_emb = norm_end.kernel.presentation
     aug_gens = []
     ident = AbHom.identity(amb)
     for r in reps:

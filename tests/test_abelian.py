@@ -13,9 +13,8 @@ from sympy.matrices.normalforms import hermite_normal_form
 import classfield.abelian as abelian
 from classfield.abelian import (
     _hnf_key, _matmul, AbHom, FgAbGroup, SubgroupKey, element_preimages,
-    factor_through, fixed_subgroup, group_order, hom_cokernel, hom_image,
-    invert_isomorphism, is_injective, is_isomorphism, is_surjective, kernel_key,
-    mat_mul, quotient, smith_decompose, solve_integer, subgroup_contains,
+    factor_through, fixed_subgroup, group_order, invert_isomorphism,
+    is_injective, is_isomorphism, is_surjective, mat_mul, quotient, smith_decompose, solve_integer, subgroup_contains,
     subgroup_elements, subgroup_from_generators, subgroup_key,
 )
 
@@ -125,18 +124,18 @@ class TestHoms:
 
     def test_kernel_injective_map(self):
         Z = FgAbGroup(1)
-        k, _ = kernel_key(AbHom(Z, Z, ((2,),))).presentation
+        k, _ = AbHom(Z, Z, ((2,),)).kernel.presentation
         assert k.is_trivial()
 
     def test_kernel_times_two_mod_four(self):
         a = FgAbGroup(0, (4,))
-        k, emb = kernel_key(AbHom(a, a, ((2,),))).presentation
+        k, emb = AbHom(a, a, ((2,),)).kernel.presentation
         assert k == FgAbGroup(0, (2,))
         # generated by the class of 2
         assert set(map(tuple, emb.image_generators())) == {(2,)}
 
     def test_kernel_zero_map(self):
-        k, _ = kernel_key(AbHom.zero(FgAbGroup(0, (6,)), FgAbGroup(1))).presentation
+        k, _ = AbHom.zero(FgAbGroup(0, (6,)), FgAbGroup(1)).kernel.presentation
         assert k == FgAbGroup(0, (6,))
 
     def test_order_law_exhaustive_small(self):
@@ -150,8 +149,8 @@ class TestHoms:
             except ValueError:
                 continue
             count += 1
-            k, _ = kernel_key(h).presentation
-            img, _ = hom_image(h)
+            k, _ = h.kernel.presentation
+            img, _ = h.image.presentation
             assert group_order(k) * group_order(img) == group_order(dom)
         assert count == 8  # 2 choices for the Z/2 column, 4 for the Z/4 one
 
@@ -208,7 +207,7 @@ class TestSubgroups:
 
     def test_cokernel(self):
         Z = FgAbGroup(1)
-        cok, _ = hom_cokernel(AbHom(Z, Z, ((5,),)))
+        cok, _ = AbHom(Z, Z, ((5,),)).cokernel
         assert cok == FgAbGroup(0, (5,))
 
 
@@ -448,8 +447,8 @@ class TestSolvePerMap:
         assert (xs is not None) == all(subgroup_contains(b, image, y) for y in ys)
         if xs is not None:
             assert [h(x) for x in xs] == [b.reduce(y) for y in ys]
-        assert is_injective(h) == kernel_key(h).presentation[0].is_trivial()
-        assert is_surjective(h) == hom_cokernel(h)[0].is_trivial()
+        assert is_injective(h) == h.kernel.presentation[0].is_trivial()
+        assert is_surjective(h) == h.cokernel[0].is_trivial()
 
     # Kernels whose presentation once ran the Smith decomposition of a kernel
     # basis with entries up to 10**140 and never finished (hypothesis seeds
@@ -472,7 +471,7 @@ class TestSolvePerMap:
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.alarm(20)
         try:
-            kernel, embed = kernel_key(h).presentation
+            kernel, embed = h.kernel.presentation
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -480,7 +479,7 @@ class TestSolvePerMap:
         assert (subgroup_key(h.domain, embed.image_generators())
                 == subgroup_key(h.domain, smith_kernel(h)))
         # Smith kernel columns reach entries of 72, 708 and 28,096 here
-        assert max(abs(v) for row in kernel_key(h).rows for v in row) <= 16
+        assert max(abs(v) for row in h.kernel.rows for v in row) <= 16
 
 
 def smith_kernel(h):
@@ -498,14 +497,14 @@ def smith_kernel(h):
 
 
 class TestKernelKey:
-    """``kernel_key`` is the key of ker h: the oracles are the elements that
+    """``AbHom.kernel`` is the key of ker h: the oracles are the elements that
     h sends to 0 and the Smith right-transform kernel columns."""
 
     @given(ab_groups(), ab_groups(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_against_smith_columns_and_enumeration(self, a, b, data):
         h = draw_hom(data, a, b)
-        key = kernel_key(h)
+        key = h.kernel
         assert key == subgroup_key(a, smith_kernel(h))
         if a.is_finite():
             assert key == subgroup_key(
@@ -515,8 +514,28 @@ class TestKernelKey:
         a = FgAbGroup(1, (2, 4))
         # e_0 -> 0, e_1 -> 0 (torsion into Z), e_2 -> 3
         h = AbHom(a, FgAbGroup(1), ((0, 0, 3),))
-        assert kernel_key(h).rows == ((1, 0, 0), (0, 1, 0))
-        assert kernel_key(AbHom.identity(a)) == subgroup_key(a, [])
+        assert h.kernel.rows == ((1, 0, 0), (0, 1, 0))
+        assert AbHom.identity(a).kernel == subgroup_key(a, [])
+
+
+class TestCachedDerivations:
+    """``kernel``, ``image`` and ``cokernel`` are derived once per map and
+    are not fields: a map with its caches filled equals a fresh copy."""
+
+    @given(ab_groups(), ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cached_once_and_invisible(self, a, b, data):
+        h = draw_hom(data, a, b)
+        fresh = AbHom.from_json(json.loads(json.dumps(h.to_json())))
+        for name in ("kernel", "image", "cokernel"):
+            first = getattr(h, name)
+            assert getattr(h, name) is first and name in vars(h)
+            assert name not in vars(fresh)
+        assert h == fresh and fresh == h and hash(h) == hash(fresh)
+        assert repr(h) == repr(fresh)
+        assert json.dumps(h.to_json()) == json.dumps(fresh.to_json())
+        assert h.image == subgroup_key(b, h.image_generators())
+        assert h.cokernel == quotient(b, h.image_generators())
 
 
 class TestIsInjective:
@@ -527,7 +546,7 @@ class TestIsInjective:
     @settings(max_examples=150, deadline=None)
     def test_against_enumeration(self, a, b, data):
         h = draw_hom(data, a, b)
-        for f in (h, kernel_key(h).presentation[1]):  # the kernel's embedding is injective
+        for f in (h, h.kernel.presentation[1]):  # the kernel's embedding is injective
             elements = enumerate_value(f.domain)
             assert is_injective(f) == (len({f(x) for x in elements}) == len(elements))
 

@@ -20,8 +20,8 @@ from classfield.cft import (
 )
 from classfield.groups import FiniteGroup
 from classfield.mackey import (
-    FunctorMorphism, NotMackeyCover, NotSubfunctor, fixed_point_functor, full_system,
-    permutation_module, quotient_functor, sign_module, trivial_module,
+    FunctorMorphism, GModule, NotMackeyCover, NotSubfunctor, fixed_point_functor,
+    full_system, permutation_module, quotient_functor, sign_module, trivial_module,
     unramified_system, validate_functor_morphism, validate_ric_functor,
 )
 from classfield.ramification import RamificationDatum
@@ -61,6 +61,15 @@ def v4_fixture():
     vfam = ValuationFamily(c, omega,
                            {k: AbHom.identity(omega) for k in sys.points()})
     return datum, sys, c, vfam
+
+
+def first_coordinate_family(c):
+    """v_H = the first coordinate of the module, through each fixed-point
+    embedding of the fixed-point functor c."""
+    amb = c.meta["module"].underlying
+    v_top = AbHom(amb, FgAbGroup(1), ((1,) + (0,) * (amb.rank - 1),))
+    return ValuationFamily(c, FgAbGroup(1), {
+        k: v_top.compose(emb) for k, emb in c.meta["embeddings"].items()})
 
 
 class TestSpectrum:
@@ -591,6 +600,23 @@ class TestFnd:
         names = {check.name for check in rep.checks if not check.passed}
         assert "kernel_sequence_exact" in names
 
+    def test_nontrivial_unit_groups(self):
+        # C2 on Z + Z[C2], sigma swapping the last two coordinates, and v the
+        # first coordinate: ker v_1 = 0 + Z[C2] and ker v_G = the diagonal,
+        # so each exactness check compares two different nonzero kernels
+        c2 = cyclic(2)
+        datum = RamificationDatum(c2, 2, (0, 1))
+        sys = full_system(c2)
+        z3 = FgAbGroup(3)
+        swap = AbHom(z3, z3, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+        c = fixed_point_functor(GModule(c2, z3, {0: AbHom.identity(z3), 1: swap}), sys)
+        vfam = first_coordinate_family(c)
+        assert vfam.components[(0,)].kernel.rows == ((0, 1, 0), (0, 0, 1))
+        assert vfam.components[(0, 1)].kernel.rows == ((0, 1),)
+        rep = validate_fnd(c, vfam, Spectrum(sys, unramified_extension(sys, datum)), datum)
+        exact = [check for check in rep.checks if check.name == "kernel_sequence_exact"]
+        assert rep.passed and len(exact) == 4
+
     def test_trivial_spectrum_vacuous(self):
         datum, sys, c, vfam = c2_fixture()
         spec = Spectrum(sys, {k: [k] for k in sys.points()})
@@ -620,6 +646,19 @@ class TestFullUpsilon:
         gk = (0, 1, 2, 3)
         val2, _, _ = upsilon_tilde(c4, v4, datum4, 2, (gk, (0, 2)))
         assert val2 == (0,)
+
+    def test_prime_choice_leak_is_caught(self):
+        # C2 acting trivially on Z^2 with v = the first coordinate: the prime
+        # (0, 1) of ker v_G is not a norm (ind_{G,1} doubles), so the value
+        # depends on which prime element is chosen
+        c2 = cyclic(2)
+        datum = RamificationDatum(c2, 2, (0, 1))
+        c = fixed_point_functor(trivial_module(c2, FgAbGroup(2)), full_system(c2))
+        vfam = first_coordinate_family(c)
+        pair = ((0, 1), (0,))
+        upsilon_tilde(c, vfam, datum, 1, pair)
+        with pytest.raises(NotUrFnd, match="prime choice leaks through"):
+            upsilon_tilde(c, vfam, datum, 1, pair, certify_prime_independence=True)
 
     def test_unramified_h_reduces_to_prime_power(self):
         # h with Sigma = H: value is pi_H^(P') mod ind

@@ -12,7 +12,7 @@ from classfield.ramification import (
 )
 from classfield.transfer import AbelianizationSystem, validate_abelianization_system
 
-from conftest import admissible_data
+from conftest import admissible_data, catalog_groups
 
 
 def c4_datum():
@@ -280,6 +280,45 @@ class TestFrobeniusGroup:
                         if report.passed:
                             assert report.unique
 
+    def test_uniqueness_on_proper_subgroups(self):
+        # certify_unique scans only the subgroups inside H; its verdict must
+        # match a brute-force count of the subgroups of G inside H that
+        # satisfy the three axioms
+        checked = 0
+        for g in catalog_groups(12):
+            full = g.full_subgroup()
+            for datum in admissible_data(g):
+                for h in g.all_subgroups():
+                    if h == full:
+                        continue
+                    try:
+                        vals, _ = d_horizon(datum, h)
+                    except InertiaTrivialHorizon:
+                        continue
+                    for u in g.all_subgroups():
+                        if not u.is_subgroup_of(h):
+                            continue
+                        i_u = inertia_subgroup(datum, u).elements
+                        for h_elt in h.elements:
+                            if vals[h_elt] == 0:
+                                continue
+                            try:
+                                sigma, report = frobenius_group(
+                                    datum, h_elt, h, u, certify_unique=True)
+                            except DepthInsufficient:
+                                continue
+                            if not report.passed:
+                                continue
+                            axioms = [k for k in g.all_subgroups()
+                                      if k.is_subgroup_of(h)
+                                      and h_elt in k.element_set
+                                      and inertia_subgroup(datum, k).elements == i_u
+                                      and degrees(datum, h, k)[1] == report.f_expected]
+                            assert sigma in axioms
+                            assert report.unique == (len(axioms) == 1)
+                            checked += 1
+        assert checked == 803
+
     def test_depth_insufficient(self):
         # C6 with modulus 3: h = g^2 has mult 2, so P(mult) = 2, but the
         # residue 2 is invertible mod 3 and f_{H|Sigma} collapses to 1 -
@@ -400,8 +439,7 @@ class TestFrobeniusCompatibility:
         # conjugation carries it over, restriction (transfer) raises it to
         # the e-th power, induction (inclusion) to the f-th power
         from classfield.catalog import direct_product, cyclic
-        from classfield.groups import Subgroup, right_transversal as rt
-        from classfield.transfer import _subgroup_as_group, pretransfer
+        from classfield.transfer import _pretransfers
 
         v4 = direct_product(cyclic(2), cyclic(2))
         datum = RamificationDatum(v4, 2, (0, 0, 1, 1))
@@ -438,13 +476,7 @@ class TestFrobeniusCompatibility:
                     except InertiaTrivialHorizon:
                         assert k == u  # I_K = K forces the trivial pair
                         phi_k = 0
-                    sub = _subgroup_as_group(h)
-                    inner_k = Subgroup(sub.group,
-                                       [sub.index[x] for x in k.elements],
-                                       validate=False)
-                    t = rt(sub.group, inner_k)
-                    transferred = sub.elements[
-                        pretransfer(sub.group, inner_k, t, sub.index[phi])]
+                    (transferred,) = _pretransfers(h, k, [phi])
                     lhs = min(g.table[transferred][a] for a in u.elements)
                     rhs = min(g.table[g.power(phi_k, e)][a]
                               for a in u.elements)
