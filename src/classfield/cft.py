@@ -333,8 +333,8 @@ def validate_valuation(v: ValuationFamily, datum: RamificationDatum) -> Report:
     sys = c.domain
     omega_d = omega_functor(datum, sys, v.omega)
     morphism = FunctorMorphism(c, omega_d, v.components)
-    mrep = validate_functor_morphism(morphism)
-    report.add("valuation_is_morphism_into_omega_d", mrep.passed, mrep.witness)
+    report.nest("valuation_is_morphism_into_omega_d",
+                validate_functor_morphism(morphism))
     gen = v.generator()
     for hkey in sys.points():
         if element_preimage(v.components[hkey], gen) is None:
@@ -386,9 +386,8 @@ def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
                    datum: RamificationDatum) -> Report:
     """Unramified reciprocity-datum conditions on every unramified pair."""
     report = Report()
-    val = validate_valuation(v, datum)
-    report.add("valuation_valid", val.passed, val.first_failure())
-    if not val.passed:
+    report.nest("valuation_valid", validate_valuation(v, datum))
+    if not report.passed:
         return report
     omega = v.omega
     gen = v.generator()
@@ -510,8 +509,8 @@ def validate_fnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
     report = Report()
     ur_pairs = unramified_extension(spectrum.system, datum)
     ur_spec = Spectrum(spectrum.system, ur_pairs)
-    ur = validate_urfnd(c, v, ur_spec, datum)
-    report.add("urfnd_on_unramified_subspectrum", ur.passed, ur.first_failure())
+    report.nest("urfnd_on_unramified_subspectrum",
+                validate_urfnd(c, v, ur_spec, datum))
     sys = c.domain
     points = set(sys.points())
     for hkey in spectrum.system.points():
@@ -801,41 +800,26 @@ def lattice_property_check(assignment: ExtensionAssignment, spectrum: Spectrum,
     return report
 
 
-@dataclass
-class ReducedVerificationReport:
-    mode: str
-    hypotheses_pass: bool
-    hypothesis_witness: object
-    reduced_pass: bool
-    reduced_witness: object
-    full_pass: bool
-    full_witness: object
-
-    @property
-    def agreement(self) -> bool:
-        """The reduction theorems: reduced-pass must imply full-pass."""
-        if self.hypotheses_pass and self.reduced_pass:
-            return self.full_pass
-        return True
-
-
 def reduced_verification(theta: FunctorMorphism, mode: str,
                          rsys: AbelianizationSystem,
-                         class_functor: RicFunctor | None = None
-                         ) -> ReducedVerificationReport:
+                         class_functor: RicFunctor | None = None) -> Report:
     """Compare the reduced isomorphy check with the full per-pair check.
 
     mode 'prime_power': reduced set = pairs with abelian quotient cyclic
     of prime-power order.  mode 'prime': reduced set = prime-order cyclic
     pairs, with the class field axiom on them as an extra hypothesis.
     The theorems predict reduced-pass => full-pass on the R-pairs.
+
+    Checks, in order: "hypotheses", "reduced", "full" (each with its first
+    witness) and "agreement"; θ's naturality verdict is part "morphism".
     """
     if mode not in ("prime", "prime_power"):
         raise ValueError("mode must be 'prime' or 'prime_power'")
     spectrum: Spectrum = theta.source.domain
+    report = Report()
     hyp_ok = True
     hyp_witness = None
-    mrep = validate_functor_morphism(theta)
+    report.parts["morphism"] = mrep = validate_functor_morphism(theta)
     if not mrep.passed:
         hyp_ok, hyp_witness = False, ("morphism", mrep.witness)
     if not spectrum.is_l_coherent or not spectrum.is_i_coherent:
@@ -872,6 +856,9 @@ def reduced_verification(theta: FunctorMorphism, mode: str,
             reduced_pass, reduced_witness = False, pair
         if not iso and full_pass:
             full_pass, full_witness = False, pair
-    return ReducedVerificationReport(mode, hyp_ok, hyp_witness,
-                                     reduced_pass, reduced_witness,
-                                     full_pass, full_witness)
+    agreement = full_pass or not (hyp_ok and reduced_pass)
+    report.add("hypotheses", hyp_ok, hyp_witness)
+    report.add("reduced", reduced_pass, reduced_witness)
+    report.add("full", full_pass, full_witness)
+    report.add("agreement", agreement, None if agreement else full_witness)
+    return report

@@ -190,7 +190,7 @@ def _usable_system(system):
     return system
 
 
-def _build_functor(group: FiniteGroup, data, system, datum=None):
+def _build_functor(group: FiniteGroup, data, system):
     from .mackey import abelianization_functor, fixed_point_functor, functor_from_json
     from .transfer import commutator_system
     kind = _object(data, "functor").get("kind")
@@ -227,18 +227,12 @@ def run_mackey_check(args) -> tuple[dict, bool]:
     if "ramification" in data:
         datum = _ramification(group, _block(data, "ramification"))
     system = _build_system(group, data.get("system"), datum)
-    report = Report()
-    sysrep = validate_subgroup_system(system)
-    report.add("subgroup_system_valid", sysrep.passed, sysrep.witness)
-    phi = _build_functor(group, _block(data, "functor"), system, datum)
-    for name, check in (("ric_axioms", validate_ric_functor),
-                        ("stability", check_stability),
-                        ("cohomological", check_cohomological)):
-        r = check(phi)
-        report.add(name, r.passed, r.witness)
-    if system.is_mackey:
-        r = check_mackey_formula(phi)
-        report.add("mackey_formula", r.passed, r.witness)
+    phi = _build_functor(group, _block(data, "functor"), system)
+    # the checks run on the system the functor lives on: tables carry their own
+    report = Report([validate_subgroup_system(phi.domain), validate_ric_functor(phi),
+                     check_stability(phi), check_cohomological(phi)])
+    if phi.domain.is_mackey:
+        report.checks.append(check_mackey_formula(phi))
     out = {"checks": _report_json(report),
            "values": {subgroup_key_to_id(k): v.to_json()
                       for k, v in sorted(phi.values.items())}}
@@ -297,17 +291,15 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
     group_data = _block(data, "group")
     from .cft import (
         Spectrum, certify_upsilon_tilde_multiplicative, reduced_verification,
-        unramified_extension, upsilon_morphism, validate_fnd, validate_urfnd,
-        validate_valuation,
+        unramified_extension, upsilon_morphism, validate_fnd,
     )
     from .groups import subgroup_key_to_id
-    from .mackey import validate_functor_morphism
     from .report import Report
     from .transfer import commutator_system
     group = _load_group(group_data)
     datum = _ramification(group, _block(data, "ramification"))
     system = _build_system(group, data.get("system"), datum)
-    c = _build_functor(group, _block(data, "functor"), system, datum)
+    c = _build_functor(group, _block(data, "functor"), system)
     vfam = _valuation(c, _block(data, "valuation"), system)
 
     spec_data = _object(data.get("spectrum", {"kind": "unramified"}),
@@ -333,38 +325,33 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
         raise InputError("spectrum needs 'pairs' or kind 'unramified'")
     spectrum = Spectrum(system, extension)
 
-    report = Report()
-    val = validate_valuation(vfam, datum)
-    report.add("valuation_valid", val.passed, val.first_failure())
-    ur_spec = Spectrum(system, unramified_extension(system, datum))
-    ur = validate_urfnd(c, vfam, ur_spec, datum)
-    report.add("urfnd_valid", ur.passed, ur.first_failure())
+    # validate_fnd runs the urFND on Sp(system, unramified_extension), which
+    # runs the valuation check; each verdict is read from the part it nests
     fnd = validate_fnd(c, vfam, spectrum, datum)
-    report.add("fnd_valid", fnd.passed, fnd.first_failure())
+    ur = fnd.parts["urfnd_on_unramified_subspectrum"]
+    report = Report()
+    report.nest("valuation_valid", ur.parts["valuation_valid"])
+    report.nest("urfnd_valid", ur)
+    report.nest("fnd_valid", fnd)
 
     tables = []
     if fnd.passed:
         rsys = commutator_system(system)
         morphism, table_map = upsilon_morphism(
             c, vfam, datum, spectrum, rsys, fnd_validated=True)
-        mrep = validate_functor_morphism(morphism)
-        report.add("upsilon_is_morphism", mrep.passed, mrep.witness)
+        rv = reduced_verification(morphism, "prime", rsys, class_functor=c)
+        report.nest("upsilon_is_morphism", rv.parts["morphism"])
         report.add("upsilon_all_iso",
                    all(t.is_iso for t in table_map.values()))
         report.add("upsilon_lift_independent",
                    all(t.lift_independent in (True, None)
                        for t in table_map.values()))
-        rv = reduced_verification(morphism, "prime", rsys, class_functor=c)
-        report.add("reduction_agreement", rv.agreement,
-                   rv.full_witness if not rv.agreement else None)
+        report.nest("reduction_agreement", rv.checks[-1])  # "agreement"
         if args.certify:
             for pair in spectrum.points():
-                cert = certify_upsilon_tilde_multiplicative(
-                    c, vfam, datum, pair)
-                report.add(f"upsilon_tilde_multiplicative:"
-                           f"{subgroup_key_to_id(pair[0])}|"
-                           f"{subgroup_key_to_id(pair[1])}",
-                           cert.passed, cert.first_failure())
+                name = "|".join(map(subgroup_key_to_id, pair))
+                report.nest(f"upsilon_tilde_multiplicative:{name}",
+                            certify_upsilon_tilde_multiplicative(c, vfam, datum, pair))
         tables = [table_map[p].to_json() for p in spectrum.points()]
     out = {"checks": _report_json(report), "tables": tables}
     return out, report.passed

@@ -20,7 +20,7 @@ Built-in functors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from operator import add
 
 from .abelian import (
@@ -32,7 +32,8 @@ from .groups import (
     double_coset_reps, left_transversal, subgroup_id_to_key, subgroup_key_to_id,
 )
 from .ramification import RamificationDatum, degrees
-from .transfer import AbelianizationSystem, ValidationReport, _pretransfers
+from .report import CheckItem
+from .transfer import AbelianizationSystem, _pretransfers
 
 
 class NotMackeySystem(ValueError):
@@ -137,41 +138,38 @@ def unramified_system(datum: RamificationDatum) -> SubgroupSystem:
     return sys
 
 
-def validate_subgroup_system(candidate: SubgroupSystem) -> ValidationReport:
+def validate_subgroup_system(candidate: SubgroupSystem) -> CheckItem:
     """Subgroup-system axioms plus the Mackey-system conditions.
 
     Sets is_mackey / is_arithmetic flags on the candidate as a side
     effect of a passing validation.
     """
+    fail = partial(CheckItem, "subgroup_system_valid", False)
     grp = candidate.group
     points = set(candidate.points())
     # base closed under conjugation
     for k in points:
         for g in range(grp.order):
             if candidate.conjugate(g, k) not in points:
-                return ValidationReport(False, (g, k),
-                                        "base not closed under conjugation")
+                return fail((g, k), "base not closed under conjugation")
     for star, sets in (("r", candidate.res_sets), ("i", candidate.ind_sets)):
         for k in points:
             entries = sets.get(k)
             if entries is None:
-                return ValidationReport(False, k, f"missing {star}-set")
+                return fail(k, f"missing {star}-set")
             if k not in entries:
-                return ValidationReport(False, k, f"H not in S_{star}(H)")
+                return fail(k, f"H not in S_{star}(H)")
             for j in entries:
                 if j not in points or not set(j) <= set(k):
-                    return ValidationReport(False, (k, j),
-                                            f"S_{star}(H) member not a subgroup of H")
+                    return fail((k, j), f"S_{star}(H) member not a subgroup of H")
                 for l in sets.get(j, ()):
                     if l not in entries:
-                        return ValidationReport(
-                            False, (k, j, l), f"S_{star} not transitive")
+                        return fail((k, j, l), f"S_{star} not transitive")
             for g in range(grp.order):
                 conj_k = candidate.conjugate(g, k)
                 conj_entries = {candidate.conjugate(g, j) for j in entries}
                 if conj_entries != set(sets.get(conj_k, ())):
-                    return ValidationReport(False, (g, k),
-                                            f"S_{star} not conjugation-equivariant")
+                    return fail((g, k), f"S_{star} not conjugation-equivariant")
     # Mackey condition: I ∩ J in S_r(J) and in S_i(I)
     is_mackey = True
     for k in points:
@@ -185,7 +183,7 @@ def validate_subgroup_system(candidate: SubgroupSystem) -> ValidationReport:
     candidate.is_arithmetic = all(
         set(candidate.res_sets[k]) == {j for j in points if set(j) <= set(k)}
         == set(candidate.ind_sets[k]) for k in points)
-    return ValidationReport(True)
+    return CheckItem("subgroup_system_valid", True)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +319,7 @@ class RicFunctor:
         return self.__dict__[name]
 
 
-def validate_ric_functor(phi: RicFunctor) -> ValidationReport:
+def validate_ric_functor(phi: RicFunctor) -> CheckItem:
     """Structural completeness plus triviality/transitivity/equivariance.
 
     Typing, the identities and res/ind transitivity are checked for every
@@ -355,57 +353,57 @@ def validate_ric_functor(phi: RicFunctor) -> ValidationReport:
                == set(edges(dom.conjugate(s, x)))
                for s in gens for x in points
                for edges in (dom.res_set, dom.ind_set)):
-            return ValidationReport(True)
-    failure = _ric_failure(phi, range(grp.order))
-    return ValidationReport(True) if failure is None else failure
+            return CheckItem("ric_axioms", True)
+    return _ric_failure(phi, range(grp.order)) or CheckItem("ric_axioms", True)
 
 
-def _ric_failure(phi: RicFunctor, elems) -> ValidationReport | None:
+def _ric_failure(phi: RicFunctor, elems) -> CheckItem | None:
     """First failing RIC axiom, taking the con axioms only for s in elems."""
+    fail = partial(CheckItem, "ric_axioms", False)
     dom = phi.domain
     grp = dom.group
     points = list(dom.points())
     for x in points:
         if x not in phi.values:
-            return ValidationReport(False, x, "missing value")
+            return fail(x, "missing value")
         for y in dom.res_set(x):
             h = phi.res.get((y, x))
             if h is None or h.domain != phi.values[x] or h.codomain != phi.values[y]:
-                return ValidationReport(False, (y, x), "missing or mistyped res")
+                return fail((y, x), "missing or mistyped res")
         for y in dom.ind_set(x):
             h = phi.ind.get((x, y))
             if h is None or h.domain != phi.values[y] or h.codomain != phi.values[x]:
-                return ValidationReport(False, (x, y), "missing or mistyped ind")
+                return fail((x, y), "missing or mistyped ind")
         for g in range(grp.order):
             h = phi.con.get((g, x))
             gx = dom.conjugate(g, x)
             if h is None or h.domain != phi.values[x] or h.codomain != phi.values[gx]:
-                return ValidationReport(False, (g, x), "missing or mistyped con")
+                return fail((g, x), "missing or mistyped con")
     for x in points:
         ident = AbHom.identity(phi.values[x])
         if phi.res[(x, x)] != ident:
-            return ValidationReport(False, x, "res_{x,x} != id")
+            return fail(x, "res_{x,x} != id")
         if phi.ind[(x, x)] != ident:
-            return ValidationReport(False, x, "ind_{x,x} != id")
+            return fail(x, "ind_{x,x} != id")
         if phi.con[(0, x)] != ident:
-            return ValidationReport(False, x, "con_{1,x} != id")
+            return fail(x, "con_{1,x} != id")
     res_set = {x: dom.res_set(x) for x in points}
     ind_set = {x: dom.ind_set(x) for x in points}
     for x in points:
         for y in res_set[x]:
             for z in dom.res_set(y):
                 if phi.res[(z, y)].compose(phi.res[(y, x)]) != phi.res[(z, x)]:
-                    return ValidationReport(False, (z, y, x), "res not transitive")
+                    return fail((z, y, x), "res not transitive")
         for y in ind_set[x]:
             for z in dom.ind_set(y):
                 if phi.ind[(x, y)].compose(phi.ind[(y, z)]) != phi.ind[(x, z)]:
-                    return ValidationReport(False, (x, y, z), "ind not transitive")
+                    return fail((x, y, z), "ind not transitive")
         for g1 in range(grp.order):
             gx = dom.conjugate(g1, x)
             for g2 in elems:
                 lhs = phi.con[(g2, gx)].compose(phi.con[(g1, x)])
                 if lhs != phi.con[(grp.mul(g2, g1), x)]:
-                    return ValidationReport(False, (g2, g1, x), "con not transitive")
+                    return fail((g2, g1, x), "con not transitive")
     for x in points:
         for g in elems:
             gx = dom.conjugate(g, x)
@@ -414,33 +412,35 @@ def _ric_failure(phi: RicFunctor, elems) -> ValidationReport | None:
                 lhs = phi.con[(g, y)].compose(phi.res[(y, x)])
                 rhs = phi.res[(gy, gx)].compose(phi.con[(g, x)])
                 if lhs != rhs:
-                    return ValidationReport(False, (g, y, x), "res not equivariant")
+                    return fail((g, y, x), "res not equivariant")
             for y in ind_set[x]:
                 gy = dom.conjugate(g, y)
                 lhs = phi.con[(g, x)].compose(phi.ind[(x, y)])
                 rhs = phi.ind[(gx, gy)].compose(phi.con[(g, y)])
                 if lhs != rhs:
-                    return ValidationReport(False, (g, x, y), "ind not equivariant")
+                    return fail((g, x, y), "ind not equivariant")
     return None
 
 
-def check_stability(phi: RicFunctor) -> ValidationReport:
+def check_stability(phi: RicFunctor) -> CheckItem:
     """con_{h,H} = id for h in H."""
+    fail = partial(CheckItem, "stability", False)
     dom = phi.domain
     for x in dom.points():
         for h in dom.subgroup(x):
             if phi.con[(h, x)] != AbHom.identity(phi.values[x]):
-                return ValidationReport(False, (h, x), "con_{h,H} != id")
-    return ValidationReport(True)
+                return fail((h, x), "con_{h,H} != id")
+    return CheckItem("stability", True)
 
 
-def check_mackey_formula(phi: RicFunctor) -> ValidationReport:
+def check_mackey_formula(phi: RicFunctor) -> CheckItem:
     """res o ind = sum over double cosets of ind o con o res.
 
     Each sum is taken over raw matrices and reduced once, modulo C(I).
     That equals reducing after every product, because each edge map is
     well defined: a torsion generator's column is killed by its order.
     """
+    fail = partial(CheckItem, "mackey_formula", False)
     dom = phi.domain
     if not isinstance(dom, SubgroupSystem):
         raise NotMackeySystem("Mackey formula needs a subgroup-system domain")
@@ -471,13 +471,13 @@ def check_mackey_formula(phi: RicFunctor) -> ValidationReport:
                                                        c_j.rank), c_j.rank)
                     rhs = [list(map(add, a, b)) for a, b in zip(rhs, term)]
                 if lhs != AbHom._trusted(c_j, c_i, rhs):
-                    return ValidationReport(False, (hkey, ikey, jkey),
-                                            "Mackey formula fails")
-    return ValidationReport(True)
+                    return fail((hkey, ikey, jkey), "Mackey formula fails")
+    return CheckItem("mackey_formula", True)
 
 
-def check_cohomological(phi: RicFunctor) -> ValidationReport:
+def check_cohomological(phi: RicFunctor) -> CheckItem:
     """ind o res = multiplication by the index on every allowed pair."""
+    fail = partial(CheckItem, "cohomological", False)
     dom = phi.domain
     for hkey in dom.points():
         allowed = set(dom.res_set(hkey)) & set(dom.ind_set(hkey))
@@ -485,9 +485,8 @@ def check_cohomological(phi: RicFunctor) -> ValidationReport:
             n = len(hkey) // len(ikey)
             lhs = phi.ind[(hkey, ikey)].compose(phi.res[(ikey, hkey)])
             if lhs != AbHom.multiplication(phi.values[hkey], n):
-                return ValidationReport(False, (hkey, ikey),
-                                        "ind o res != index multiple")
-    return ValidationReport(True)
+                return fail((hkey, ikey), "ind o res != index multiple")
+    return CheckItem("cohomological", True)
 
 
 # ---------------------------------------------------------------------------
@@ -659,35 +658,36 @@ class FunctorMorphism:
         return self.components[key]
 
 
-def validate_functor_morphism(phi: FunctorMorphism) -> ValidationReport:
+def validate_functor_morphism(phi: FunctorMorphism) -> CheckItem:
     """All res/ind/con squares commute; each distinct con square at a point once."""
+    fail = partial(CheckItem, "morphism", False)
     src, tgt = phi.source, phi.target
     dom = src.domain
     if tgt.domain is not dom:
-        return ValidationReport(False, None, "source and target domains differ")
+        return fail(None, "source and target domains differ")
     for x in dom.points():
         c = phi.components.get(x)
         if c is None or c.domain != src.values[x] or c.codomain != tgt.values[x]:
-            return ValidationReport(False, x, "missing or mistyped component")
+            return fail(x, "missing or mistyped component")
     for x in dom.points():
         for y in dom.res_set(x):
             lhs = phi.components[y].compose(src.res[(y, x)])
             rhs = tgt.res[(y, x)].compose(phi.components[x])
             if lhs != rhs:
-                return ValidationReport(False, ("res", y, x), "res square fails")
+                return fail(("res", y, x), "res square fails")
         for y in dom.ind_set(x):
             lhs = phi.components[x].compose(src.ind[(x, y)])
             rhs = tgt.ind[(x, y)].compose(phi.components[y])
             if lhs != rhs:
-                return ValidationReport(False, ("ind", x, y), "ind square fails")
+                return fail(("ind", x, y), "ind square fails")
         squares = set()  # a skipped g repeats a passed square
         for g in range(dom.group.order):
             square = gx, s, t = dom.conjugate(g, x), src.con[(g, x)], tgt.con[(g, x)]
             if square not in squares:
                 squares.add(square)
                 if phi.components[gx].compose(s) != t.compose(phi.components[x]):
-                    return ValidationReport(False, ("con", g, x), "con square fails")
-    return ValidationReport(True)
+                    return fail(("con", g, x), "con square fails")
+    return CheckItem("morphism", True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ subgroups throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .groups import (
     FiniteGroup, Subgroup, Transversal, check_double_coset_reps, cosets,
     right_transversal, t_remover,
 )
+from .report import CheckItem
 
 
 class NotTransferInducing(ValueError):
@@ -146,18 +148,9 @@ class AbelianizationSystem:
         return self.assignment[h.elements]
 
 
-@dataclass
-class ValidationReport:
-    passed: bool
-    witness: object = None
-    detail: str = ""
-
-    def __bool__(self):
-        return self.passed
-
-
-def validate_abelianization_system(candidate: AbelianizationSystem) -> ValidationReport:
+def validate_abelianization_system(candidate: AbelianizationSystem) -> CheckItem:
     """Check the three abelianization-system conditions exhaustively."""
+    fail = partial(CheckItem, "abelianization_system_valid", False)
     sys = candidate.system
     g = sys.group
     for key in sys.points():
@@ -166,7 +159,7 @@ def validate_abelianization_system(candidate: AbelianizationSystem) -> Validatio
         try:
             _coabelian_check(h, r)
         except ValueError as exc:
-            return ValidationReport(False, key, f"not coabelian: {exc}")
+            return fail(key, f"not coabelian: {exc}")
     # (i) conjugation equivariance
     for key in sys.points():
         h = sys.subgroup(key)
@@ -176,8 +169,7 @@ def validate_abelianization_system(candidate: AbelianizationSystem) -> Validatio
             expected = candidate.assignment[conj_h]
             image = {g.conj(x, a) for a in r.elements}
             if image != set(expected.elements):
-                return ValidationReport(False, (x, key),
-                                        "conjugate of R(H) is not R(^gH)")
+                return fail((x, key), "conjugate of R(H) is not R(^gH)")
     # (ii) transfer compatibility on restriction edges
     for key in sys.points():
         h = sys.subgroup(key)
@@ -189,17 +181,15 @@ def validate_abelianization_system(candidate: AbelianizationSystem) -> Validatio
             images = _pretransfers(h, sys.subgroup(ikey), r_h.elements)
             for x, val in zip(r_h.elements, images):
                 if val not in r_i.element_set:
-                    return ValidationReport(False, (key, ikey, x),
-                                            "transfer escapes R(I)")
+                    return fail((key, ikey, x), "transfer escapes R(I)")
     # (iii) inclusion compatibility on induction edges
     for key in sys.points():
         r_h = candidate.assignment[key]
         for ikey in sys.ind_set(key):
             r_i = candidate.assignment[ikey]
             if not r_i.element_set <= r_h.element_set:
-                return ValidationReport(False, (key, ikey),
-                                        "R(I) not contained in R(H)")
-    return ValidationReport(True)
+                return fail((key, ikey), "R(I) not contained in R(H)")
+    return CheckItem("abelianization_system_valid", True)
 
 
 def commutator_system(sys) -> AbelianizationSystem:

@@ -370,8 +370,7 @@ class TestAcceptance:
                     continue
                 report = reduced_verification(theta, mode, rsys,
                                               class_functor=c)
-                ok = ok and report.hypotheses_pass and report.agreement
-                ok = ok and report.reduced_pass and report.full_pass
+                ok = ok and report.passed
         # 100 seeded defect mutations, each caught by hypothesis validation
         # or by the full check.  A mutation can accidentally compose theta
         # with a unit automorphism, yielding another legitimate reciprocity
@@ -403,14 +402,14 @@ class TestAcceptance:
             bad[pair] = mutated_comp
             mutated = FunctorMorphism(theta.source, theta.target, bad)
             mode = "prime" if c is not None else "prime_power"
-            report = reduced_verification(mutated, mode, rsys,
-                                          class_functor=c)
-            ok = ok and report.agreement
-            if report.hypotheses_pass and report.full_pass:
-                ok = ok and report.reduced_pass  # certified alternative iso
+            hypotheses, reduced, full, agreement = reduced_verification(
+                mutated, mode, rsys, class_functor=c).checks
+            ok = ok and agreement.passed
+            if hypotheses.passed and full.passed:
+                ok = ok and reduced.passed  # certified alternative iso
                 continue
             mutations += 1
-            caught = (not report.hypotheses_pass) or (not report.full_pass)
+            caught = (not hypotheses.passed) or (not full.passed)
             ok = ok and caught
         verdict(9, ok, "reduced-pass never contradicts full-fail; 100 "
                        "seeded defect mutations all caught")

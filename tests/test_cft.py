@@ -891,10 +891,7 @@ class TestReducedVerification:
                                 {p: AbHom.identity(taut.values[p])
                                  for p in spec.points()})
         for mode in ("prime_power",):
-            report = reduced_verification(theta, mode, rsys)
-            assert report.hypotheses_pass
-            assert report.reduced_pass and report.full_pass
-            assert report.agreement
+            assert reduced_verification(theta, mode, rsys).passed
 
     def test_upsilon_prime_mode(self):
         datum, sys, c, vfam = c4_fixture()
@@ -903,8 +900,9 @@ class TestReducedVerification:
         morphism, _ = upsilon_morphism(c, vfam, datum, spec, rsys,
                                        fnd_validated=True)
         report = reduced_verification(morphism, "prime", rsys)
-        assert report.hypotheses_pass and report.reduced_pass
-        assert report.full_pass and report.agreement
+        assert [c.name for c in report.checks] == \
+            ["hypotheses", "reduced", "full", "agreement"]
+        assert report.passed and report.parts["morphism"].passed
 
     def test_corrupted_component_caught(self):
         datum, sys, c, vfam = c4_fixture()
@@ -917,11 +915,12 @@ class TestReducedVerification:
         pair = (gk, (0,))
         bad[pair] = bad[pair].scaled(2)
         theta = FunctorMorphism(morphism.source, morphism.target, bad)
-        report = reduced_verification(theta, "prime", rsys, class_functor=c)
+        hypotheses, reduced, full, agreement = reduced_verification(
+            theta, "prime", rsys, class_functor=c).checks
         # caught by hypothesis validation or by a check, never silent
-        assert (not report.hypotheses_pass) or (not report.reduced_pass) \
-            or (not report.full_pass)
-        assert report.agreement
+        assert (not hypotheses.passed) or (not reduced.passed) \
+            or (not full.passed)
+        assert agreement.passed
 
 
 class TestTrivialSpectrum:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -60,6 +61,31 @@ class TestCftScenarios:
         out = json.loads(proc.stdout)
         assert any(c["name"].startswith("upsilon_tilde_multiplicative")
                    for c in out["checks"])
+
+    def test_each_verdict_computed_once(self, monkeypatch, tmp_path):
+        # the composite checks nest their sub-verdicts, and the report reads
+        # them there: the valuation check inside the urFND inside the FND,
+        # and Upsilon's naturality inside the reduced verification
+        from classfield import cft, cli, mackey
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        for name in ("validate_valuation", "validate_urfnd", "validate_fnd",
+                     "reduced_verification", "validate_functor_morphism"):
+            count(cft, name)
+        count(mackey, "validate_functor_morphism")
+        assert cli.main(["cft", "--input", str(FIXTURES / "c4_unramified.json"),
+                         "--out", str(tmp_path / "out.json")]) == 0
+        # naturality is checked once for the valuation, once for Upsilon
+        assert calls == {"validate_valuation": 1, "validate_urfnd": 1,
+                         "validate_fnd": 1, "reduced_verification": 1,
+                         "validate_functor_morphism": 2}
 
 
 class TestGroupReport:
@@ -145,6 +171,68 @@ class TestMackeyCheck:
         assert proc.returncode == 0, proc.stderr
         statuses = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
         assert statuses["mackey_formula"] == "pass"
+
+    def test_checks_run_on_the_system_of_the_tables(self, tmp_path):
+        # a valid system that is not a Mackey system: S_r(G) = {G, A, 1} and
+        # S_i(G) = {G, B, 1} meet in 1, which is not in S_r(B) = {B}
+        from classfield.catalog import catalog
+        from classfield.mackey import (
+            SubgroupSystem, abelianization_functor, full_system,
+            functor_to_json, system_to_json, validate_subgroup_system)
+        from classfield.transfer import commutator_system
+        g = catalog()["C2xC2"]
+        one, a, b, c, top = (0,), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)
+        res = {k: {k, one} for k in (one, a, b, c, top)}
+        ind = dict(res)
+        res[top], res[b], ind[top] = {top, a, one}, {b}, {top, b, one}
+        odd = SubgroupSystem(g, g.all_subgroups(), res, ind)
+        assert validate_subgroup_system(odd).passed and not odd.is_mackey
+        full = full_system(g)
+
+        def tables(system):
+            return {"kind": "tables", "functor": functor_to_json(
+                abelianization_functor(system, commutator_system(system)))}
+        # non-Mackey tables, no system block: the default full system is
+        # not where they live, and the Mackey formula does not apply
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"group": {"builtin": "C2xC2"},
+                                    "functor": tables(odd)}))
+        proc = run_cli("mackey", "--input", str(path))
+        assert proc.returncode == 0, proc.stderr
+        checks = json.loads(proc.stdout)["checks"]
+        assert [c["name"] for c in checks] == [
+            "subgroup_system_valid", "ric_axioms", "stability", "cohomological"]
+        assert all(c["status"] == "pass" for c in checks)
+        # full-system tables under a non-Mackey system block get the formula
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({
+            "group": {"builtin": "C2xC2"},
+            "system": dict(system_to_json(odd), kind="custom"),
+            "functor": tables(full)}))
+        proc = run_cli("mackey", "--input", str(path))
+        assert proc.returncode == 0, proc.stderr
+        statuses = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+        assert statuses["mackey_formula"] == "pass"
+
+
+class TestReportNest:
+    def test_nest_carries_the_verdict_and_keeps_the_part(self):
+        from classfield.report import CheckItem, Report
+        inner = Report()
+        inner.add("first", True)
+        inner.add("second", False, (1, 2))
+        item = CheckItem("morphism", False, ("res", 1, 0), detail="res square fails")
+        outer = Report()
+        outer.nest("inner", inner)
+        outer.nest("item", item)
+        outer.nest("fine", CheckItem("fine", True))
+        assert outer.checks == [CheckItem("inner", False, inner.checks[1]),
+                                CheckItem("item", False, ("res", 1, 0)),
+                                CheckItem("fine", True)]
+        assert outer.parts["inner"] is inner and outer.parts["item"] is item
+        assert outer.first_failure().witness == CheckItem("second", False, (1, 2))
+        # golden reports print nested verdicts by repr: no detail, no parts
+        assert "detail" not in repr(item) and "parts" not in repr(outer)
 
 
 class TestHrv:

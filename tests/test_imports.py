@@ -18,9 +18,8 @@ import classfield
 FIXTURES = Path(__file__).parent.parent / "src" / "classfield" / "fixtures"
 
 GROUP = {"classfield", "classfield.cli", "classfield.abelian",
-         "classfield.groups", "classfield.transfer"}
-MACKEY = GROUP | {"classfield.mackey", "classfield.ramification",
-                  "classfield.report"}
+         "classfield.groups", "classfield.transfer", "classfield.report"}
+MACKEY = GROUP | {"classfield.mackey", "classfield.ramification"}
 CFT = MACKEY | {"classfield.cft"}
 
 S3 = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4],
