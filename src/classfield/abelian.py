@@ -6,9 +6,14 @@ coordinates list the torsion generators first, then the free generators,
 so a coordinate vector for ``FgAbGroup(r, (f1, ..., ft))`` has ``t + r``
 entries and entry ``i < t`` is reduced modulo ``f_i``.
 
+A map is an ``AbHom``, and ``AbHom(domain, codomain, matrix)`` is its one
+constructor.  Maps are hash-consed: the constructor returns the live map
+of an equal value when there is one, so equal maps are one object and
+equality is identity, and it validates a value only when it builds it.
+
 Presentations, preimages and integer solving go through a witnessed Smith
 normal form.  One decomposition answers every right-hand side, and each
-``AbHom`` holds the one that its preimages solve against, built on the
+map value holds the one that its preimages solve against, built on the
 first query (Cohen, GTM 138, section 2.4).  A subgroup is a ``SubgroupKey``:
 the canonical Hermite normal form of its preimage lattice in Z^rank, so
 equal subgroups have equal keys.  The key answers membership (``contains``)
@@ -17,14 +22,16 @@ first read of ``presentation``.  Kernels come from the same form:
 ``h.kernel`` reads the key of ker h off the Hermite form of the graph of
 h, and every kernel, fixed-point group and relation lattice is taken from
 it, never from Smith transform columns, whose entries blow up.  A map's
-``kernel``, ``image`` and ``cokernel`` are cached on it like ``_smith``,
-so a map kept in a table derives each of them once.  Everything runs over
-plain Python integers, so there is no overflow and no floating point.
+``kernel``, ``image`` and ``cokernel`` are cached per value like
+``_smith``, so each is derived once however many tables hold the map.
+Everything runs over plain Python integers, so there is no overflow and
+no floating point.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iproduct
@@ -311,38 +318,67 @@ def group_order(a: FgAbGroup) -> int | float:
     return math.prod(a.invariant_factors)
 
 
-@dataclass(frozen=True)
+# One live map per value.  The engine runs in one thread, so the lookup and
+# the store in ``AbHom.__new__`` need no lock.
+_INTERNED: "weakref.WeakValueDictionary[tuple, AbHom]" = weakref.WeakValueDictionary()
+
+
 class AbHom:
     """Homomorphism between groups in normal form, as an integer matrix.
 
     Column j holds the image of the j-th canonical domain generator;
-    composition is matrix product.  The cached ``_smith``, ``kernel``,
-    ``image`` and ``cokernel`` are not fields, so they take no part in
-    equality, hashing, ``repr`` or ``to_json``.
+    composition is matrix product.  Maps are hash-consed (Filliatre and
+    Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so
+    equality and hashing are identity.  The cached ``_smith``, ``kernel``,
+    ``image`` and ``cokernel`` are not fields.
     """
 
     domain: FgAbGroup
     codomain: FgAbGroup
     matrix: tuple[tuple[int, ...], ...]
 
+    def __new__(cls, domain: FgAbGroup, codomain: FgAbGroup, matrix) -> "AbHom":
+        try:
+            rows = tuple(tuple(v % cm for v in row) if cm else tuple(row)
+                         for row, cm in zip(matrix, codomain.moduli, strict=True))
+        except ValueError:  # from zip: a row too many or too few
+            raise ValueError(f"matrix must be {codomain.rank}x{domain.rank}") from None
+        key = (domain.free_rank, domain.invariant_factors,
+               codomain.free_rank, codomain.invariant_factors, rows)
+        h = _INTERNED.get(key)
+        if h is None:
+            h = object.__new__(cls)
+            for name, value in (("domain", domain), ("codomain", codomain),
+                                ("matrix", rows)):
+                object.__setattr__(h, name, value)
+            h.__post_init__()
+            _INTERNED[key] = h
+        return h
+
     def __post_init__(self):
+        """The row-length and torsion checks, run once per value (``__new__``
+        has checked the row count)."""
         rows, cols = self.codomain.rank, self.domain.rank
         m = self.matrix
-        if len(m) != rows or any(len(r) != cols for r in m):
+        if any(len(r) != cols for r in m):
             raise ValueError(f"matrix must be {rows}x{cols}")
-        cod_mods = self.codomain.moduli
-        norm = tuple(
-            tuple(v % cm if cm else v for v in row)
-            for row, cm in zip(m, cod_mods)
-        )
-        object.__setattr__(self, "matrix", norm)
         # well-definedness: torsion generators must map to killed elements
         for j, f in enumerate(self.domain.invariant_factors):
-            for i, cm in enumerate(cod_mods):
-                v = f * norm[i][j]
+            for i, cm in enumerate(self.codomain.moduli):
+                v = f * m[i][j]
                 if (v % cm if cm else v) != 0:
                     raise ValueError(
                         f"column {j} does not respect torsion modulus {f}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"AbHom(domain={self.domain!r}, codomain={self.codomain!r}, "
+                f"matrix={self.matrix!r})")
 
     @cached_property
     def _smith(self) -> SmithDecomposition:  # of [M | codomain relations]
@@ -382,35 +418,18 @@ class AbHom:
         vector = self.domain.reduce(vector)
         return self.codomain.reduce(mat_vec([list(r) for r in self.matrix], list(vector)))
 
-    @classmethod
-    def _trusted(cls, domain: FgAbGroup, codomain: FgAbGroup, rows) -> "AbHom":
-        """Build a map known to be well defined: a product or sum of
-        well-defined maps, or a map from a free group.
-
-        Rows are reduced modulo the codomain as in ``__post_init__``, whose
-        shape and torsion checks are skipped.
-        """
-        h = object.__new__(cls)
-        object.__setattr__(h, "domain", domain)
-        object.__setattr__(h, "codomain", codomain)
-        object.__setattr__(h, "matrix", tuple(
-            tuple(v % cm for v in row) if cm else tuple(row)
-            for row, cm in zip(rows, codomain.moduli)))
-        return h
-
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition mismatch")
-        return AbHom._trusted(other.domain, self.codomain,
-                              _matmul(self.matrix, other.matrix, other.domain.rank))
+        return AbHom(other.domain, self.codomain,
+                     _matmul(self.matrix, other.matrix, other.domain.rank))
 
     def add(self, other: "AbHom") -> "AbHom":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("sum of homs needs equal (co)domains")
-        return AbHom._trusted(self.domain, self.codomain,
-                              (map(_add, ra, rb) for ra, rb in
-                               zip(self.matrix, other.matrix)))
+        return AbHom(self.domain, self.codomain,
+                     (map(_add, ra, rb) for ra, rb in zip(self.matrix, other.matrix)))
 
     def scaled(self, n: int) -> "AbHom":
         return AbHom(self.domain, self.codomain,
@@ -489,8 +508,8 @@ def subgroup_from_generators(ambient: FgAbGroup, gens: list) -> tuple[FgAbGroup,
     """
     gens = [ambient.reduce(g) for g in gens]
     # Z^n -> ambient, e_j -> g_j: its kernel is the lattice of relations
-    span = AbHom._trusted(FgAbGroup(len(gens)), ambient,
-                          [[g[i] for g in gens] for i in range(ambient.rank)])
+    span = AbHom(FgAbGroup(len(gens)), ambient,
+                 [[g[i] for g in gens] for i in range(ambient.rank)])
     s, _, from_new = presentation_from_lattice(len(gens), list(span.kernel.rows))
     return s, AbHom.from_columns(s, ambient, [span(rep) for rep in from_new])
 
@@ -513,17 +532,6 @@ def is_injective(h: AbHom) -> bool:
 
 def is_isomorphism(h: AbHom) -> bool:
     return is_injective(h) and is_surjective(h)
-
-
-def invert_isomorphism(h: AbHom) -> AbHom:
-    """Inverse of an isomorphism (raises when h is not one)."""
-    cols = element_preimages(h, identity_matrix(h.codomain.rank))
-    if cols is None:
-        raise ValueError("homomorphism is not surjective")
-    inv = AbHom.from_columns(h.codomain, h.domain, cols)
-    if inv.compose(h) != AbHom.identity(h.domain):
-        raise ValueError("homomorphism is not injective")
-    return inv
 
 
 def element_preimages(h: AbHom, ys) -> list[tuple[int, ...]] | None:
@@ -650,7 +658,7 @@ def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> SubgroupKey:
             raise ValueError("endomorphism of the wrong group")
         if all(e(row) == ambient.reduce(row) for row in key.rows):
             continue
-        minus_one = AbHom._trusted(ambient, ambient, (
+        minus_one = AbHom(ambient, ambient, (
             [v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(e.matrix)))
         key = key.meet(minus_one.kernel)
     return key

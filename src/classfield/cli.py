@@ -190,16 +190,18 @@ def _usable_system(system):
     return system
 
 
-def _build_functor(group: FiniteGroup, data, system):
+def _build_functor(group: FiniteGroup, scenario: dict, datum):
+    """The scenario's functor.  Tables carry their own subgroup system, so a
+    ``system`` block beside them is an input error; every other kind lives
+    on the system that the block describes."""
     from .mackey import abelianization_functor, fixed_point_functor, functor_from_json
     from .transfer import commutator_system
+    data = _block(scenario, "functor")
     kind = _object(data, "functor").get("kind")
-    if kind == "fixed_point":
-        module = _build_module(group, data.get("module", {}))
-        return fixed_point_functor(module, system)
-    if kind == "abelianization":
-        return abelianization_functor(system, commutator_system(system))
     if kind == "tables":
+        if "system" in scenario:
+            raise InputError("functor tables carry their own subgroup system; "
+                             "drop the 'system' block")
         phi = _parsed("functor tables", functor_from_json, group,
                       data.get("functor"))
         dom = _usable_system(phi.domain)
@@ -210,6 +212,12 @@ def _build_functor(group: FiniteGroup, data, system):
                    for x in dom.points()):
             raise InputError("functor tables miss a value or an edge map")
         return phi
+    system = _build_system(group, scenario.get("system"), datum)
+    if kind == "fixed_point":
+        module = _build_module(group, data.get("module", {}))
+        return fixed_point_functor(module, system)
+    if kind == "abelianization":
+        return abelianization_functor(system, commutator_system(system))
     raise InputError(f"unknown functor kind {kind!r}")
 
 
@@ -226,9 +234,7 @@ def run_mackey_check(args) -> tuple[dict, bool]:
     datum = None
     if "ramification" in data:
         datum = _ramification(group, _block(data, "ramification"))
-    system = _build_system(group, data.get("system"), datum)
-    phi = _build_functor(group, _block(data, "functor"), system)
-    # the checks run on the system the functor lives on: tables carry their own
+    phi = _build_functor(group, data, datum)
     report = Report([validate_subgroup_system(phi.domain), validate_ric_functor(phi),
                      check_stability(phi), check_cohomological(phi)])
     if phi.domain.is_mackey:
@@ -298,8 +304,8 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
     from .transfer import commutator_system
     group = _load_group(group_data)
     datum = _ramification(group, _block(data, "ramification"))
-    system = _build_system(group, data.get("system"), datum)
-    c = _build_functor(group, _block(data, "functor"), system)
+    c = _build_functor(group, data, datum)
+    system = c.domain
     vfam = _valuation(c, _block(data, "valuation"), system)
 
     spec_data = _object(data.get("spectrum", {"kind": "unramified"}),

@@ -475,16 +475,6 @@ def lift_double_coset_transversal(g: FiniteGroup, u: Subgroup, v: Subgroup,
     return Transversal(u, "right", tuple(lifted))
 
 
-def normal_core(g: FiniteGroup, h: Subgroup) -> Subgroup:
-    """Largest normal subgroup of g inside h."""
-    t = right_transversal(g, h)
-    core = set(h.elements)
-    for r in t.reps:
-        rinv = g.inverse[r]
-        core &= {g.mul(g.mul(rinv, x), r) for x in h.elements}
-    return Subgroup(g, core, validate=False)
-
-
 def commutator_subgroup(h: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators of h (normal in h)."""
     p = h.parent

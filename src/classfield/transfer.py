@@ -206,9 +206,3 @@ def trivial_system(sys) -> AbelianizationSystem:
     g = sys.group
     assignment = {key: g.trivial_subgroup() for key in sys.points()}
     return AbelianizationSystem(sys, assignment)
-
-
-def full_system_assignment(sys) -> AbelianizationSystem:
-    """R(H) = H for every H (all quotients trivial, hence abelian)."""
-    assignment = {key: sys.subgroup(key) for key in sys.points()}
-    return AbelianizationSystem(sys, assignment)

@@ -203,16 +203,52 @@ class TestMackeyCheck:
         assert [c["name"] for c in checks] == [
             "subgroup_system_valid", "ric_axioms", "stability", "cohomological"]
         assert all(c["status"] == "pass" for c in checks)
-        # full-system tables under a non-Mackey system block get the formula
+        # tables carry their own system: a system block beside them, which
+        # would go unused, is an input error
         path = tmp_path / "full.json"
         path.write_text(json.dumps({
             "group": {"builtin": "C2xC2"},
             "system": dict(system_to_json(odd), kind="custom"),
             "functor": tables(full)}))
         proc = run_cli("mackey", "--input", str(path))
-        assert proc.returncode == 0, proc.stderr
-        statuses = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
-        assert statuses["mackey_formula"] == "pass"
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("input error: functor tables carry their own "
+                               "subgroup system; drop the 'system' block\n")
+
+    def test_cft_runs_on_the_system_of_the_tables(self, tmp_path):
+        # C2xC2 tables on the two-point system {1, G}, with no system block:
+        # the valuation, spectrum and extension are taken over {1, G}, not
+        # over the full system of C2xC2, whose points the tables lack
+        from classfield.abelian import FgAbGroup
+        from classfield.catalog import catalog
+        from classfield.mackey import (
+            SubgroupSystem, fixed_point_functor, functor_to_json, trivial_module)
+        g = catalog()["C2xC2"]
+        one, top = (0,), (0, 1, 2, 3)
+        edges = {one: {one}, top: {top, one}}
+        two = SubgroupSystem(g, [g.trivial_subgroup(), g.full_subgroup()],
+                             edges, dict(edges))
+        module = trivial_module(g, FgAbGroup(1))
+        scenario = {
+            "group": {"builtin": "C2xC2"},
+            "ramification": {"modulus": 2, "d": [0, 0, 1, 1], "primes_P": [2]},
+            "functor": {"kind": "tables", "functor": functor_to_json(
+                fixed_point_functor(module, two))},
+            "valuation": {"omega": {"modulus": 0}, "components": "identity"}}
+        path = tmp_path / "two_point.json"
+        path.write_text(json.dumps(scenario))
+        proc = run_cli("cft", "--input", str(path))
+        assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+        out = json.loads(proc.stdout)
+        assert [c["name"] for c in out["checks"]][:3] == [
+            "valuation_valid", "urfnd_valid", "fnd_valid"]
+        assert proc.returncode == (0 if all(c["status"] == "pass"
+                                            for c in out["checks"]) else 1)
+        scenario["system"] = {"kind": "full"}
+        path.write_text(json.dumps(scenario))
+        for sub in ("cft", "mackey"):
+            proc = run_cli(sub, "--input", str(path))
+            assert proc.returncode == 2 and "own subgroup system" in proc.stderr
 
 
 class TestReportNest:

@@ -12,7 +12,7 @@ from classfield.groups import (
     FiniteGroup, InvalidReps, Subgroup, Transversal, abelian_quotient,
     abelianization, are_isomorphic, coset_reps, cosets,
     double_coset_reps, double_coset_of, left_transversal, lift_double_coset_transversal,
-    normal_core, quotient_group, right_transversal, t_permutation, t_remover,
+    quotient_group, right_transversal, t_permutation, t_remover,
 )
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2,
@@ -349,33 +349,6 @@ class TestCosetMemo:
                     t_permutation(t, outside)
             assert t_permutation(t, 1) == {0: 1, 1: 0}
             assert [t_remover(t, x) for x in v.elements] == [0, 0]
-
-
-class TestNormalCore:
-    def test_normal_subgroup_is_its_core(self):
-        s3 = symmetric(3)
-        a3 = next(h for h in s3.all_subgroups() if len(h) == 3)
-        assert normal_core(s3, a3) == a3
-
-    def test_s3_transposition_core_trivial(self):
-        s3 = symmetric(3)
-        u = next(h for h in s3.all_subgroups() if len(h) == 2)
-        assert normal_core(s3, u).elements == (0,)
-
-    def test_core_of_g(self):
-        g = dihedral(4)
-        assert normal_core(g, g.full_subgroup()) == g.full_subgroup()
-
-    def test_index_bound(self, group_catalog):
-        for name in ("S3", "D4", "A4", "S4"):
-            g = group_catalog[name]
-            for h in g.all_subgroups():
-                t = right_transversal(g, h)
-                core = normal_core(g, h)
-                bound = 1
-                for _ in t.reps:
-                    bound *= h.index
-                assert (g.order // len(core)) <= bound
 
 
 class TestIsNormalIn:
