@@ -11,21 +11,17 @@ constructor.  Maps are hash-consed: the constructor returns the live map
 of an equal value when there is one, so equal maps are one object and
 equality is identity, and it validates a value only when it builds it.
 
-Presentations, preimages and integer solving go through a witnessed Smith
-normal form.  One decomposition answers every right-hand side, and each
-map value holds the one that its preimages solve against, built on the
-first query (Cohen, GTM 138, section 2.4).  A subgroup is a ``SubgroupKey``:
-the canonical Hermite normal form of its preimage lattice in Z^rank, so
-equal subgroups have equal keys.  The key answers membership (``contains``)
-and intersection (``meet``), and it presents its subgroup once, on the
-first read of ``presentation``.  Kernels come from the same form:
-``h.kernel`` reads the key of ker h off the Hermite form of the graph of
-h, and every kernel, fixed-point group and relation lattice is taken from
-it, never from Smith transform columns, whose entries blow up.  A map's
-``kernel``, ``image`` and ``cokernel`` are cached per value like
-``_smith``, so each is derived once however many tables hold the map.
-Everything runs over plain Python integers, so there is no overflow and
-no floating point.
+Presentations and integer solving go through a witnessed Smith normal
+form (Cohen, GTM 138, section 2.4).  A subgroup is a ``SubgroupKey``: the
+canonical Hermite normal form of its preimage lattice in Z^rank, so equal
+subgroups have equal keys.  The key answers membership (``contains``) and
+intersection (``meet``), and presents its subgroup on the first read of
+``presentation``.  A map holds one normal form, the Hermite key ``_graph``
+of its graph, cached per value like ``kernel``, ``image`` and
+``cokernel``, which are read off it; every preimage is a remainder modulo
+it.  Hermite keys stay reduced where Smith transform columns blow up
+(Kannan and Bachem, SIAM J. Comput. 8(4), 1979).  Everything runs over
+plain Python integers, so there is no overflow and no floating point.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ def _matmul(a, b, ncols: int) -> Matrix:
 
 
 def mat_vec(a, v) -> list[int]:
-    return [sum(ai[k] * v[k] for k in range(len(v))) for ai in a]
+    return [sum(map(_mul, row, v)) for row in a]
 
 
 @dataclass
@@ -195,12 +191,8 @@ def solve_integer(m: Matrix, bs: list[list[int]],
         cols = len(m[0]) if rows else 0
     if rows == 0 or not bs:
         return [[0] * cols for _ in bs]
-    return _solve(smith_decompose(m), bs)
-
-
-def _solve(snf: SmithDecomposition, bs) -> list[list[int]] | None:
-    """``solve_integer`` against the decomposition of a matrix with rows."""
-    diag = snf.diagonal + [0] * (len(snf.left) - len(snf.diagonal))
+    snf = smith_decompose(m)
+    diag = snf.diagonal + [0] * (rows - len(snf.diagonal))
     pad = [0] * (len(snf.right) - len(snf.diagonal))
     xs = []
     for b in bs:
@@ -210,11 +202,6 @@ def _solve(snf: SmithDecomposition, bs) -> list[list[int]] | None:
         y = [u // d if d else 0 for u, d in zip(ub, snf.diagonal)]
         xs.append(mat_vec(snf.right, y + pad))
     return xs
-
-
-def columns(mats: list[list[int]]) -> Matrix:
-    """Assemble column vectors into a matrix (all the same length)."""
-    return [[col[i] for col in mats] for i in range(len(mats[0]))] if mats else []
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +316,7 @@ class AbHom:
     Column j holds the image of the j-th canonical domain generator;
     composition is matrix product.  Maps are hash-consed (Filliatre and
     Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so
-    equality and hashing are identity.  The cached ``_smith``, ``kernel``,
+    equality and hashing are identity.  The cached ``_graph``, ``kernel``,
     ``image`` and ``cokernel`` are not fields.
     """
 
@@ -381,33 +368,29 @@ class AbHom:
                 f"matrix={self.matrix!r})")
 
     @cached_property
-    def _smith(self) -> SmithDecomposition:  # of [M | codomain relations]
-        rel = self.codomain.relation_columns()
-        return smith_decompose([list(row) + [col[i] for col in rel]
-                                for i, row in enumerate(self.matrix)])
+    def _graph(self) -> tuple[tuple[int, ...], ...]:
+        """``_hnf_key`` of the graph ``{(h(x), x)}`` in codomain + domain,
+        spanned by the rows ``(h(e_j), e_j)`` and the relations of both."""
+        rows = [col + e for col, e in
+                zip(self.image_generators(), identity_matrix(self.domain.rank))]
+        return _hnf_key(self.codomain.moduli + self.domain.moduli, rows)
 
     @cached_property
     def kernel(self) -> "SubgroupKey":
-        """``subgroup_key`` of ker h inside ``domain``.
-
-        The rows ``(h(e_j), e_j)`` plus the relations of both groups span
-        the graph ``{(h(x), x)}``.  Its echelon rows that vanish on the
-        codomain half span the vectors ``(0, x)`` with h(x) = 0; their domain
-        halves are echelon and reduced, as in ``SubgroupKey.meet``: the key
-        of ker h.  Being reduced, its entries stay small where Smith
-        transform columns blow up (Kannan and Bachem, SIAM J. Comput. 8(4),
-        1979).
-        """
+        """``subgroup_key`` of ker h: the domain halves of the ``_graph``
+        rows (0, x) with h(x) = 0, echelon and reduced as in ``meet``."""
         k = self.codomain.rank
-        rows = [col + e for col, e in
-                zip(self.image_generators(), identity_matrix(self.domain.rank))]
-        key = _hnf_key(self.codomain.moduli + self.domain.moduli, rows)
-        return SubgroupKey(self.domain, tuple(r[k:] for r in key if not any(r[:k])))
+        return SubgroupKey(self.domain,
+                           tuple(r[k:] for r in self._graph if not any(r[:k])))
 
     @cached_property
     def image(self) -> "SubgroupKey":
-        """``subgroup_key`` of the image inside ``codomain``."""
-        return subgroup_key(self.codomain, self.image_generators())
+        """``subgroup_key`` of the image: the other ``_graph`` rows project
+        to an echelon, reduced basis of the image plus the codomain
+        relations, which is that lattice's unique Hermite form."""
+        k = self.codomain.rank
+        return SubgroupKey(self.codomain,
+                           tuple(r[:k] for r in self._graph if any(r[:k])))
 
     @cached_property
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
@@ -416,7 +399,7 @@ class AbHom:
 
     def __call__(self, vector) -> tuple[int, ...]:
         vector = self.domain.reduce(vector)
-        return self.codomain.reduce(mat_vec([list(r) for r in self.matrix], list(vector)))
+        return self.codomain.reduce(mat_vec(self.matrix, vector))
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""
@@ -469,7 +452,15 @@ class AbHom:
     def from_json(cls, data: dict) -> "AbHom":
         return cls(FgAbGroup.from_json(data["domain"]),
                    FgAbGroup.from_json(data["codomain"]),
-                   tuple(tuple(r) for r in data["matrix"]))
+                   _int_rows(data["matrix"]))
+
+
+def _int_rows(matrix) -> tuple[tuple[int, ...], ...]:
+    """A JSON matrix as a tuple of rows; an entry that is not an int raises."""
+    rows = tuple(tuple(r) for r in matrix)
+    if any(type(v) is not int for r in rows for v in r):
+        raise ValueError("matrix entries must be integers")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +474,8 @@ def presentation_from_lattice(k: int, rel_cols: list[list[int]]):
     normal-form coordinates and ``from_new`` holds, per new generator, an
     old-coordinate representative.
     """
-    snf = (smith_decompose(columns(rel_cols)) if rel_cols else
-           SmithDecomposition([], identity_matrix(k), [], identity_matrix(k), []))
+    snf = (smith_decompose([[c[i] for c in rel_cols] for i in range(k)]) if rel_cols
+           else SmithDecomposition([], identity_matrix(k), [], identity_matrix(k), []))
     diag = snf.diagonal + [0] * (k - len(snf.diagonal))  # 0 marks a free row
     # torsion rows first (snf order is already divisibility-ascending)
     torsion = [(i, d) for i, d in enumerate(diag) if d > 1]
@@ -494,7 +485,7 @@ def presentation_from_lattice(k: int, rel_cols: list[list[int]]):
     rows = [snf.left[i] for i, _ in ordered]
 
     def to_new(vector):
-        return group.reduce(mat_vec(rows, list(vector)))
+        return group.reduce(mat_vec(rows, vector))
 
     from_new = [[snf.left_inv[r][i] for r in range(k)] for i, _ in ordered]
     return group, to_new, from_new
@@ -537,12 +528,15 @@ def is_isomorphism(h: AbHom) -> bool:
 def element_preimages(h: AbHom, ys) -> list[tuple[int, ...]] | None:
     """Some x with h(x) = y for each y in ys, or None when one y has none.
 
-    Every y is solved against the map's own decomposition ``h._smith``.
+    (y, 0) minus a graph vector (h(x), x) is (0, -x) exactly when h(x) = y,
+    so the remainder of (y, 0) modulo ``h._graph`` vanishes on the codomain
+    exactly when y is in the image, and x is minus its domain half.
     """
-    if not ys or not h.codomain.rank:
-        return [h.domain.zero() for _ in ys]
-    xs = _solve(h._smith, [list(h.codomain.reduce(y)) for y in ys])
-    return None if xs is None else [h.domain.reduce(x[: h.domain.rank]) for x in xs]
+    k, pad = h.codomain.rank, (0,) * h.domain.rank
+    rs = [_remainder(h._graph, h.codomain.reduce(y) + pad) for y in ys]
+    if any(any(r[:k]) for r in rs):
+        return None
+    return [h.domain.reduce([-v for v in r[k:]]) for r in rs]
 
 
 def element_preimage(h: AbHom, y) -> tuple[int, ...] | None:
@@ -592,6 +586,19 @@ def _hnf_key(moduli, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p) for _, p in basis)
 
 
+def _remainder(key, x) -> list[int] | tuple[int, ...]:
+    """x minus the lattice vector that the echelon rows of ``key`` take off
+    it, pivot by pivot: all zero exactly when x lies in their lattice."""
+    c = 0
+    for row in key:
+        while not row[c]:  # rows are echelon, so pivots move right
+            c += 1
+        q = x[c] // row[c]  # a remainder survives to the final check
+        if q:
+            x = [u - q * v for u, v in zip(x, row)]
+    return x
+
+
 @dataclass(frozen=True)
 class SubgroupKey:
     """The subgroup of ``ambient`` whose ``_hnf_key`` is ``rows``: equal exactly
@@ -602,16 +609,7 @@ class SubgroupKey:
 
     def contains(self, *xs) -> bool:
         """Is every x in the subgroup?"""
-        key = [(next(i for i, v in enumerate(row) if v), row) for row in self.rows]
-        for x in xs:
-            x = list(self.ambient.reduce(x))
-            for c, row in key:
-                q = x[c] // row[c]  # a remainder survives to the final check
-                if q:
-                    x = [u - q * v for u, v in zip(x, row)]
-            if any(x):
-                return False
-        return True
+        return not any(any(_remainder(self.rows, self.ambient.reduce(x))) for x in xs)
 
     def meet(self, other: "SubgroupKey") -> "SubgroupKey":
         """The key of the intersection of two subgroups of one group.

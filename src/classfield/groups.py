@@ -607,24 +607,8 @@ def quotient_group(g: FiniteGroup, n: Subgroup,
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing (catalog verification)
+# generating sets
 # ---------------------------------------------------------------------------
-
-def _fingerprint(g: FiniteGroup):
-    orders = tuple(sorted(g.element_order(a) for a in range(g.order)))
-    classes = []
-    seen = set()
-    for a in range(g.order):
-        if a in seen:
-            continue
-        cls = {g.conj(x, a) for x in range(g.order)}
-        seen |= cls
-        classes.append(len(cls))
-    ab, _ = abelianization(g)
-    derived = commutator_subgroup(g.full_subgroup())
-    return (g.order, orders, len(g.center()), tuple(sorted(classes)),
-            ab.invariant_factors, len(derived))
-
 
 def _generating_set(g: FiniteGroup) -> list[int]:
     gens: list[int] = []
@@ -637,49 +621,3 @@ def _generating_set(g: FiniteGroup) -> list[int]:
         if len(span) == g.order:
             break
     return gens
-
-
-def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    """Brute-force isomorphism test for small groups."""
-    if g.order != h.order:
-        return False
-    if _fingerprint(g) != _fingerprint(h):
-        return False
-    gens = _generating_set(g)
-    by_order: dict[int, list[int]] = {}
-    for x in range(h.order):
-        by_order.setdefault(h.element_order(x), []).append(x)
-    targets = [by_order.get(g.element_order(x), []) for x in gens]
-
-    # words expressing every g-element over the generators
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for i, gen in enumerate(gens):
-            y = g.table[x][gen]
-            if y not in words:
-                words[y] = words[x] + (i,)
-                frontier.append(y)
-
-    def extend(images):
-        phi = {}
-        for x in range(g.order):
-            e = 0
-            for i in words[x]:
-                e = h.table[e][images[i]]
-            phi[x] = e
-        if len(set(phi.values())) != h.order:
-            return False
-        return all(phi[g.table[a][b]] == h.table[phi[a]][phi[b]]
-                   for a in range(g.order) for b in range(g.order))
-
-    def backtrack(i, chosen):
-        if i == len(gens):
-            return extend(chosen)
-        for cand in targets[i]:
-            if backtrack(i + 1, chosen + [cand]):
-                return True
-        return False
-
-    return backtrack(0, [])

@@ -24,7 +24,7 @@ from functools import cache, partial
 from operator import add
 
 from .abelian import (
-    FgAbGroup, AbHom, _matmul, element_preimages, factor_through,
+    FgAbGroup, AbHom, _int_rows, _matmul, element_preimages, factor_through,
     fixed_subgroup, identity_matrix, is_isomorphism, quotient, subgroup_key,
 )
 from .groups import (
@@ -851,17 +851,14 @@ def functor_from_json(group: FiniteGroup, data: dict) -> RicFunctor:
     for item in data["res"]:
         h = subgroup_id_to_key(item["from"])
         i = subgroup_id_to_key(item["to"])
-        res[(i, h)] = AbHom(values[h], values[i],
-                            tuple(tuple(r) for r in item["matrix"]))
+        res[(i, h)] = AbHom(values[h], values[i], _int_rows(item["matrix"]))
     for item in data["ind"]:
         i = subgroup_id_to_key(item["from"])
         h = subgroup_id_to_key(item["to"])
-        ind[(h, i)] = AbHom(values[i], values[h],
-                            tuple(tuple(r) for r in item["matrix"]))
+        ind[(h, i)] = AbHom(values[i], values[h], _int_rows(item["matrix"]))
     for item in data["con"]:
         h = subgroup_id_to_key(item["H"])
         g = item["g"]
         gh = system.conjugate(g, h)
-        con[(g, h)] = AbHom(values[h], values[gh],
-                            tuple(tuple(r) for r in item["matrix"]))
+        con[(g, h)] = AbHom(values[h], values[gh], _int_rows(item["matrix"]))
     return RicFunctor(system, values, res, ind, con)

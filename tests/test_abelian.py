@@ -433,8 +433,8 @@ class TestTrustedProducts:
 
 
 class TestSolvePerMap:
-    """One Smith decomposition per map answers every right-hand side; the
-    HNF key and the kernel and cokernel presentations are the oracles."""
+    """The Hermite key of a map's graph answers every right-hand side; the
+    image key and the kernel and cokernel presentations are the oracles."""
 
     @given(ab_groups(), ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -570,8 +570,9 @@ class TestIsInjective:
 
 
 class TestOneDecompositionPerMap:
-    """A map value decomposes ``[M | relations]`` once, on its first
-    preimage query: every object of that value is the one map."""
+    """A map value holds one normal form, the Hermite key of its graph, built
+    on the first read: its kernel, image and every preimage come from it, and
+    every object of that value is the one map."""
 
     def test_two_factorizations_share_one_decomposition(self, monkeypatch):
         amb = FgAbGroup(1, (2, 12))
@@ -581,18 +582,25 @@ class TestOneDecompositionPerMap:
                                                [[1] * r, [0] * (r - 1) + [1]])),
                 emb.compose(AbHom.multiplication(emb.domain, 5))]
         unsolved = AbHom.from_json(json.loads(json.dumps(emb.to_json())))
-        calls = []
-        real = abelian.smith_decompose
+        # the oracle keys, built before any call is counted
+        trivial = subgroup_key(emb.domain, [])
+        image = subgroup_key(amb, emb.image_generators())
+        snf_calls, hnf_calls = [], []
+        real_snf, real_hnf = abelian.smith_decompose, abelian._hnf_key
         monkeypatch.setattr(abelian, "smith_decompose",
-                            lambda m: calls.append(m) or real(m))
+                            lambda m: snf_calls.append(m) or real_snf(m))
+        monkeypatch.setattr(abelian, "_hnf_key", lambda mods, rows:
+                            hnf_calls.append(mods) or real_hnf(mods, rows))
+        assert emb.kernel == trivial and emb.image == image
         first = [factor_through(emb, h) for h in maps]
-        assert len(calls) == 1
+        assert [emb.compose(m) for m in first] == maps
+        assert hnf_calls == [emb.codomain.moduli + emb.domain.moduli]
         assert [factor_through(emb, h) for h in maps] == first
         fresh = AbHom(emb.domain, emb.codomain, emb.matrix)
         assert [factor_through(fresh, h) for h in maps] == first
         assert [factor_through(unsolved, h) for h in maps] == first
-        assert len(calls) == 1
-        assert fresh is emb and unsolved is emb and "_smith" in vars(unsolved)
+        assert len(hnf_calls) == 1 and not snf_calls
+        assert fresh is emb and unsolved is emb and "_graph" in vars(unsolved)
         assert emb == unsolved and unsolved == emb
         assert hash(emb) == hash(unsolved)
         assert repr(emb) == repr(unsolved)

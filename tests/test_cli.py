@@ -7,6 +7,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -249,6 +250,36 @@ class TestMackeyCheck:
         for sub in ("cft", "mackey"):
             proc = run_cli(sub, "--input", str(path))
             assert proc.returncode == 2 and "own subgroup system" in proc.stderr
+
+    def test_matrix_entries_must_be_integers(self, tmp_path):
+        # 1.5 failed a check (exit 1), and 1.0 and true passed as the map 1
+        # (exit 0): a table that is not integral is an input error
+        from classfield.abelian import AbHom, FgAbGroup
+        from classfield.catalog import catalog
+        from classfield.mackey import (
+            SubgroupSystem, fixed_point_functor, functor_to_json, trivial_module)
+        g = catalog()["C2xC2"]
+        one, top = (0,), (0, 1, 2, 3)
+        edges = {one: {one}, top: {top, one}}
+        two = SubgroupSystem(g, [g.trivial_subgroup(), g.full_subgroup()],
+                             edges, dict(edges))
+        tables = functor_to_json(fixed_point_functor(trivial_module(g, FgAbGroup(1)), two))
+        path = tmp_path / "tables.json"
+        scenario = {"group": {"builtin": "C2xC2"},
+                    "functor": {"kind": "tables", "functor": tables}}
+        path.write_text(json.dumps(scenario))
+        assert run_cli("mackey", "--input", str(path)).returncode == 0
+        edge = next(e for e in tables["res"] if e["matrix"] == [[1]])
+        for entry in (1.5, 1.0, True):
+            edge["matrix"] = [[entry]]
+            path.write_text(json.dumps(scenario))
+            proc = run_cli("mackey", "--input", str(path))
+            assert proc.returncode == 2, (entry, proc.returncode)
+            assert "matrix entries must be integers" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            with pytest.raises(ValueError, match="must be integers"):
+                AbHom.from_json({"domain": {"free_rank": 1},
+                                 "codomain": {"free_rank": 1}, "matrix": [[entry]]})
 
 
 class TestReportNest:
