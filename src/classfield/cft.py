@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import (
     AbHom, FgAbGroup, element_preimage, element_preimages, factor_through,
     group_order, identity_matrix, is_injective, is_isomorphism, is_surjective,
-    quotient, subgroup_contains, subgroup_elements, subgroup_key,
+    quotient, subgroup_contains, subgroup_key,
 )
 from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps, cosets
 from .mackey import (
@@ -61,12 +62,9 @@ class Spectrum:
         self.group = system.group
         self.extension = {k: tuple(sorted(v)) for k, v in extension.items()}
         self._validate_extension()
-        self._ind = {}
         self.pairs = tuple(sorted(
             (hkey, ukey)
             for hkey in system.points() for ukey in self.extension[hkey]))
-        self.is_l_coherent = self._check_l_coherent()
-        self.is_i_coherent = self._check_i_coherent()
 
     def _validate_extension(self):
         sys = self.system
@@ -98,19 +96,21 @@ class Spectrum:
     def subgroup_pair(self, pair: PairKey):
         return self.subgroup(pair), Subgroup(self.group, pair[1], validate=False)
 
+    @cached_property
+    def _edges(self) -> dict:
+        """pair -> (res set, ind set), each sorted because S_r, S_i and E are."""
+        sys, ext = self.system, self.extension
+        return {(hkey, ukey): (
+            tuple((ikey, ukey) for ikey in sys.res_set(hkey) if ukey in ext[ikey]),
+            tuple((ikey, vkey) for ikey in sys.ind_set(hkey)
+                  for vkey in ext[ikey] if set(vkey) <= set(ukey)))
+            for hkey, ukey in self.pairs}
+
     def res_set(self, pair: PairKey):
-        hkey, ukey = pair
-        return tuple(sorted((ikey, ukey) for ikey in self.system.res_set(hkey)
-                            if ukey in self.extension[ikey]))
+        return self._edges[pair][0]
 
     def ind_set(self, pair: PairKey):
-        out = self._ind.get(pair)
-        if out is None:
-            hkey, ukey = pair
-            out = self._ind[pair] = tuple(sorted(
-                (ikey, vkey) for ikey in self.system.ind_set(hkey)
-                for vkey in self.extension[ikey] if set(vkey) <= set(ukey)))
-        return out
+        return self._edges[pair][1]
 
     def conjugate(self, g: int, pair: PairKey) -> PairKey:
         sys = self.system
@@ -121,31 +121,37 @@ class Spectrum:
         r = rsys.assignment[hkey]
         return [u for u in self.extension[hkey] if r.element_set <= set(u)]
 
-    def _check_l_coherent(self) -> bool:
-        return all((hkey, u2) in self.ind_set((hkey, u1))
-                   for hkey in self.system.points()
-                   for u1 in self.extension[hkey] for u2 in self.extension[hkey]
-                   if set(u2) <= set(u1))
+    @cached_property
+    def is_l_coherent(self) -> bool:
+        """(H, U2) is an ind edge of (H, U1) for all U2 <= U1 in E(H).
 
-    def _check_i_coherent(self) -> bool:
+        That edge exists exactly when H is in S_i(H), U2 in E(H) and U2 <= U1,
+        and E(H) holds H: the condition is H in S_i(H) at every point H.
+        """
+        return all(hkey in self.system.ind_set(hkey) for hkey in self.system.points())
+
+    @cached_property
+    def is_i_coherent(self) -> bool:
+        """E(H) <= S_i(H), and for U in E(H) and a point U <= I <= H: I in E(H)
+        and U in E(I) when I is normal in H, and (I, U) an ind edge of (H, U)
+        when U is in E(I), which, as U <= U, is I in S_i(H)."""
         sys = self.system
         for hkey in sys.points():
-            exts = set(self.extension[hkey])
-            if not exts <= set(sys.ind_set(hkey)):
+            exts, inducible = set(self.extension[hkey]), set(sys.ind_set(hkey))
+            if not exts <= inducible:
                 return False
-            below = [(u1key, sys.subgroup(u1key).is_normal_in(sys.subgroup(hkey)))
-                     for u1key in sys.points() if set(u1key) <= set(hkey)]
+            h = sys.subgroup(hkey)
+            below = [(ikey, sys.subgroup(ikey).is_normal_in(h))
+                     for ikey in sys.below(hkey)]
             for ukey in exts:
-                for u1key, normal in below:
-                    if not set(ukey) <= set(u1key):
+                for ikey, normal in below:
+                    if not set(ukey) <= set(ikey):
                         continue
-                    if normal:
-                        if u1key not in exts or ukey not in self.extension[u1key]:
-                            return False
-                    # any intermediate subgroup: (I, U) must be an ind edge
-                    if ukey in self.extension.get(u1key, ()):
-                        if (u1key, ukey) not in self.ind_set((hkey, ukey)):
-                            return False
+                    u_in_e_i = ukey in self.extension[ikey]
+                    if normal and (ikey not in exts or not u_in_e_i):
+                        return False
+                    if u_in_e_i and ikey not in inducible:
+                        return False
         return True
 
 
@@ -154,9 +160,8 @@ def full_extension(system: SubgroupSystem) -> dict:
     out = {}
     for hkey in system.points():
         h = system.subgroup(hkey)
-        out[hkey] = [k for k in system.points()
-                     if set(k) <= set(hkey)
-                     and Subgroup(system.group, k, validate=False).is_normal_in(h)]
+        out[hkey] = [k for k in system.below(hkey)
+                     if system.subgroup(k).is_normal_in(h)]
     return out
 
 
@@ -166,8 +171,8 @@ def unramified_extension(system: SubgroupSystem, datum: RamificationDatum) -> di
     for hkey in system.points():
         h = system.subgroup(hkey)
         i_h = inertia_subgroup(datum, h).element_set
-        out[hkey] = [k for k in system.points() if set(k) <= set(hkey)
-                     and system.subgroup(k).is_normal_in(h) and i_h <= set(k)]
+        out[hkey] = [k for k in system.below(hkey)
+                     if system.subgroup(k).is_normal_in(h) and i_h <= set(k)]
     return out
 
 
@@ -213,7 +218,7 @@ def _check_mackey_cover(c: RicFunctor, spectrum: Spectrum):
         raise NotMackeyCover("class functor must live on a subgroup system")
     flat = spectrum.system
     for hkey in flat.points():
-        if hkey not in set(sys_c.points()):
+        if hkey not in sys_c:
             raise NotMackeyCover(f"cover misses base group {hkey}")
         if not set(flat.res_set(hkey)) <= set(sys_c.res_set(hkey)):
             raise NotMackeyCover(f"cover misses res edges at {hkey}")
@@ -412,8 +417,7 @@ def validate_urfnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
             generated = False
             if omega_in_s is not None:
                 cls = proj(omega_in_s)
-                span = subgroup_elements(q, [cls])
-                generated = len(span) == group_order(q)
+                generated = q.element_order(cls) == group_order(q)
             report.add("image_quotient_cyclic_of_index", ok_order and generated,
                        None if ok_order and generated else pair)
         # (ii) ind surjective on kernels

@@ -413,17 +413,13 @@ def run_hrv_eval(args) -> tuple[dict, bool]:
                 report.add("valuation_defined", False, i)
             results["valuations"].append(entry)
     if "roundtrip" in tasks or "axioms" in tasks:
-        fields = {(x.field.characteristic, x.field.rank,
-                   x.field.window_lo, x.field.window_hi): x.field
-                  for x in elements}
+        fields = dict.fromkeys(x.field for x in elements)
         if "field" in data:
             f = data["field"]
-            field = _parsed("hrv field", lambda: LaurentField(
+            fields[_parsed("hrv field", lambda: LaurentField(
                 f["p"], f["rank"], tuple(f["window"]["lo"]),
-                tuple(f["window"]["hi"])))
-            fields[(field.characteristic, field.rank,
-                    field.window_lo, field.window_hi)] = field
-        for field in fields.values():
+                tuple(f["window"]["hi"])))] = None
+        for field in fields:
             if "roundtrip" in tasks:
                 r = stack_roundtrip(field, seed=seed,
                                     samples=1000 if samples is None else samples)

@@ -181,12 +181,6 @@ class FiniteGroup:
         self._cache["subgroups"] = subs
         return subs
 
-    def normal_subgroups(self) -> tuple:
-        if "normal_subgroups" not in self._cache:
-            self._cache["normal_subgroups"] = tuple(
-                h for h in self.all_subgroups() if h.is_normal())
-        return self._cache["normal_subgroups"]
-
     def center(self) -> "Subgroup":
         if "center" not in self._cache:
             z = [a for a in range(self.order)
@@ -274,9 +268,7 @@ class Subgroup:
         return p._cache[key]
 
     def is_normal(self) -> bool:
-        p = self.parent
-        return all(p.conj(g, x) in self.element_set
-                   for g in range(p.order) for x in self.elements)
+        return self.is_normal_in(self.parent.full_subgroup())
 
     def conjugate(self, g: int) -> "Subgroup":
         p = self.parent

@@ -20,7 +20,7 @@ Built-in functors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from operator import add
 
 from .abelian import (
@@ -64,20 +64,25 @@ class SubgroupSystem:
 
     Keys are sorted element tuples.  ``res_sets[H]`` lists the subgroups
     restriction maps out of C(H) may target; ``ind_sets[H]`` the sources
-    of induction maps into C(H).
+    of induction maps into C(H).  ``is_mackey`` and ``is_arithmetic`` are
+    read off these sets on first access, a missing set reading as empty.
     """
 
     def __init__(self, group: FiniteGroup, base, res_sets, ind_sets):
         self.group = group
         self._subs = {tuple(sorted(h.elements)): h for h in base}
+        self._points = tuple(sorted(self._subs, key=lambda k: (len(k), k)))
         self.res_sets = {k: tuple(sorted(v)) for k, v in res_sets.items()}
         self.ind_sets = {k: tuple(sorted(v)) for k, v in ind_sets.items()}
-        self.is_mackey = False
-        self.is_arithmetic = False
         self._conj = {}
 
     def points(self):
-        return sorted(self._subs, key=lambda k: (len(k), k))
+        return self._points
+
+    def below(self, key: SubKey) -> tuple:
+        """The points inside ``key``, in ``points()`` order."""
+        inside = set(key)
+        return tuple(k for k in self._points if inside.issuperset(k))
 
     def subgroup(self, key: SubKey) -> Subgroup:
         return self._subs[key]
@@ -98,17 +103,32 @@ class SubgroupSystem:
     def __contains__(self, key: SubKey) -> bool:
         return key in self._subs
 
+    @cached_property
+    def is_mackey(self) -> bool:
+        """I ∩ J lies in S_r(J) and in S_i(I) for every point H, every I in
+        S_r(H) and every J in S_i(H)."""
+        res, ind = self.res_sets, self.ind_sets
+        for k in self._points:
+            for ikey in res.get(k, ()):
+                for jkey in ind.get(k, ()):
+                    cap = tuple(sorted(set(ikey) & set(jkey)))
+                    if cap not in res.get(jkey, ()) or cap not in ind.get(ikey, ()):
+                        return False
+        return True
+
+    @cached_property
+    def is_arithmetic(self) -> bool:
+        """S_r(H) and S_i(H) are all the points inside H, at every point H."""
+        return all(set(self.res_sets.get(k, ())) == set(self.below(k))
+                   == set(self.ind_sets.get(k, ())) for k in self._points)
+
 
 def full_system(group: FiniteGroup) -> SubgroupSystem:
     """Grp(G)^f: all subgroups, all restrictions and inductions."""
     key = "full_system"
-    if key in group._cache:
-        return group._cache[key]
-    sys = system_from_predicate(group, lambda h, i: True)
-    sys.is_mackey = True
-    sys.is_arithmetic = True
-    group._cache[key] = sys
-    return sys
+    if key not in group._cache:
+        group._cache[key] = system_from_predicate(group, lambda h, i: True)
+    return group._cache[key]
 
 
 def system_from_predicate(group: FiniteGroup, edge_ok) -> SubgroupSystem:
@@ -139,11 +159,7 @@ def unramified_system(datum: RamificationDatum) -> SubgroupSystem:
 
 
 def validate_subgroup_system(candidate: SubgroupSystem) -> CheckItem:
-    """Subgroup-system axioms plus the Mackey-system conditions.
-
-    Sets is_mackey / is_arithmetic flags on the candidate as a side
-    effect of a passing validation.
-    """
+    """Subgroup-system axioms; the Mackey-system conditions are ``is_mackey``."""
     fail = partial(CheckItem, "subgroup_system_valid", False)
     grp = candidate.group
     points = set(candidate.points())
@@ -170,19 +186,6 @@ def validate_subgroup_system(candidate: SubgroupSystem) -> CheckItem:
                 conj_entries = {candidate.conjugate(g, j) for j in entries}
                 if conj_entries != set(sets.get(conj_k, ())):
                     return fail((g, k), f"S_{star} not conjugation-equivariant")
-    # Mackey condition: I ∩ J in S_r(J) and in S_i(I)
-    is_mackey = True
-    for k in points:
-        for ikey in candidate.res_sets[k]:
-            for jkey in candidate.ind_sets[k]:
-                cap = tuple(sorted(set(ikey) & set(jkey)))
-                if cap not in candidate.res_sets[jkey] or \
-                        cap not in candidate.ind_sets[ikey]:
-                    is_mackey = False
-    candidate.is_mackey = is_mackey
-    candidate.is_arithmetic = all(
-        set(candidate.res_sets[k]) == {j for j in points if set(j) <= set(k)}
-        == set(candidate.ind_sets[k]) for k in points)
     return CheckItem("subgroup_system_valid", True)
 
 
@@ -362,7 +365,7 @@ def _ric_failure(phi: RicFunctor, elems) -> CheckItem | None:
     fail = partial(CheckItem, "ric_axioms", False)
     dom = phi.domain
     grp = dom.group
-    points = list(dom.points())
+    points = dom.points()
     for x in points:
         if x not in phi.values:
             return fail(x, "missing value")
@@ -707,7 +710,7 @@ def _validate_descent_basis(system: SubgroupSystem, basis,
     for b in basis:
         if not b.is_normal():
             raise InvalidDescentBasis(f"{b.elements} is not normal")
-        if b.elements not in set(system.points()):
+        if b.elements not in system:
             raise InvalidDescentBasis(f"{b.elements} not in the system base")
     for a in basis:
         for b in basis:
@@ -859,6 +862,9 @@ def functor_from_json(group: FiniteGroup, data: dict) -> RicFunctor:
     for item in data["con"]:
         h = subgroup_id_to_key(item["H"])
         g = item["g"]
+        if type(g) is not int or not 0 <= g < group.order:
+            raise ValueError(
+                f"con entry g must be an integer from 0 to {group.order - 1}")
         gh = system.conjugate(g, h)
         con[(g, h)] = AbHom(values[h], values[gh], _int_rows(item["matrix"]))
     return RicFunctor(system, values, res, ind, con)

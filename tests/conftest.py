@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from classfield.catalog import catalog
 from classfield.groups import abelianization
-from classfield.mackey import permutation_module
+from classfield.mackey import SubgroupSystem, permutation_module
 from classfield.ramification import RamificationDatum
 
 
@@ -55,6 +55,15 @@ def admissible_data(group):
             images = tuple(cmap(x)[idx] % m for x in range(group.order))
             out.append(RamificationDatum(group, m, images))
     return out
+
+
+def without_self_induction(system):
+    """The system with its top group G dropped from S_i(G), and nothing else
+    changed: every axiom holds but reflexivity of S_i at G."""
+    top = system.points()[-1]
+    ind = {k: tuple(j for j in v if j != top) for k, v in system.ind_sets.items()}
+    return SubgroupSystem(system.group, [system.subgroup(k) for k in system.points()],
+                          system.res_sets, ind)
 
 
 @pytest.fixture(scope="session")

@@ -21,13 +21,13 @@ from classfield.cft import (
 from classfield.groups import FiniteGroup
 from classfield.mackey import (
     FunctorMorphism, GModule, NotMackeyCover, NotSubfunctor, fixed_point_functor,
-    full_system, permutation_module, quotient_functor, sign_module, trivial_module,
-    unramified_system, validate_functor_morphism, validate_ric_functor,
+    full_system, permutation_module, quotient_functor, sign_module, system_from_predicate,
+    trivial_module, unramified_system, validate_functor_morphism, validate_ric_functor,
 )
 from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
-from conftest import random_modules, relabeled
+from conftest import admissible_data, random_modules, relabeled, without_self_induction
 from oracles import (
     classical_tate_oracle, order_multiset, tate_h0_oracle,
     tate_hminus1_oracle,
@@ -72,7 +72,46 @@ def first_coordinate_family(c):
         k: v_top.compose(emb) for k, emb in c.meta["embeddings"].items()})
 
 
+def _coherence_by_scan(spec):
+    """l- and i-coherence, scanned over the ind edges of the spectrum's pairs."""
+    sys, ext = spec.system, spec.extension
+    l_ok = all((hkey, u2) in spec.ind_set((hkey, u1))
+               for hkey in sys.points() for u1 in ext[hkey] for u2 in ext[hkey]
+               if set(u2) <= set(u1))
+    i_ok = True
+    for hkey in sys.points():
+        exts, h = set(ext[hkey]), sys.subgroup(hkey)
+        i_ok = i_ok and exts <= set(sys.ind_set(hkey))
+        for ukey in exts:
+            for ikey in sys.points():
+                if not set(ukey) <= set(ikey) <= set(hkey):
+                    continue
+                if sys.subgroup(ikey).is_normal_in(h):
+                    i_ok = i_ok and ikey in exts and ukey in ext[ikey]
+                if ukey in ext[ikey]:
+                    i_ok = i_ok and (ikey, ukey) in spec.ind_set((hkey, ukey))
+    return l_ok, i_ok
+
+
 class TestSpectrum:
+    def test_coherence_flags_match_the_pair_scans(self, group_catalog):
+        spectra = []
+        for g in group_catalog.values():
+            full = full_system(g)
+            spectra.append(Spectrum(full, full_extension(full)))
+            for datum in admissible_data(g):
+                ur = unramified_system(datum)
+                spectra.append(Spectrum(ur, unramified_extension(ur, datum)))
+        # S_i(S3) lacks S3; then S_i(S3) lacks the subgroups of order 2
+        s3 = group_catalog["S3"]
+        hand = [Spectrum(sys, full_extension(sys)) for sys in (
+            without_self_induction(full_system(s3)),
+            system_from_predicate(s3, lambda h, i: len(i) != 2 or h == i))]
+        for spec in spectra + hand:
+            assert (spec.is_l_coherent, spec.is_i_coherent) == _coherence_by_scan(spec)
+        assert [(s.is_l_coherent, s.is_i_coherent) for s in hand] == [
+            (False, False), (True, False)]
+
     def test_pairs_and_coherence(self):
         datum, sys, _, _ = c4_fixture()
         spec = Spectrum(sys, unramified_extension(sys, datum))

@@ -281,6 +281,36 @@ class TestMackeyCheck:
                 AbHom.from_json({"domain": {"free_rank": 1},
                                  "codomain": {"free_rank": 1}, "matrix": [[entry]]})
 
+    def test_con_element_must_be_a_group_element(self, tmp_path):
+        # true in place of 1, and an extra entry at -1 or -3 (an element by
+        # negative indexing), passed (exit 0); 1.0 and "1" exited 2 with an
+        # internal message
+        from classfield.abelian import FgAbGroup
+        from classfield.catalog import catalog
+        from classfield.mackey import (
+            SubgroupSystem, fixed_point_functor, functor_to_json, trivial_module)
+        g = catalog()["C2xC2"]
+        one, top = (0,), (0, 1, 2, 3)
+        edges = {one: {one}, top: {top, one}}
+        two = SubgroupSystem(g, [g.trivial_subgroup(), g.full_subgroup()],
+                             edges, dict(edges))
+        good = functor_to_json(fixed_point_functor(trivial_module(g, FgAbGroup(1)), two))
+        path = tmp_path / "tables.json"
+        for g_entry, extra in ((True, False), (1.0, False), ("1", False),
+                               (-1, True), (-3, True), (4, True)):
+            tables = json.loads(json.dumps(good))
+            edge = next(e for e in tables["con"] if e["g"] == 1)
+            if extra:
+                tables["con"].append(dict(edge, g=g_entry))
+            else:
+                edge["g"] = g_entry
+            path.write_text(json.dumps({"group": {"builtin": "C2xC2"},
+                                        "functor": {"kind": "tables", "functor": tables}}))
+            proc = run_cli("mackey", "--input", str(path))
+            assert proc.returncode == 2, (g_entry, proc.returncode)
+            assert proc.stderr == ("input error: invalid functor tables: con entry g "
+                                   "must be an integer from 0 to 3\n"), g_entry
+
 
 class TestReportNest:
     def test_nest_carries_the_verdict_and_keeps_the_part(self):

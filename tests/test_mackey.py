@@ -4,7 +4,7 @@ import pytest
 
 import classfield.abelian as abelian
 from classfield.abelian import AbHom, FgAbGroup, factor_through, is_isomorphism
-from classfield.catalog import cyclic, direct_product, symmetric
+from classfield.catalog import catalog, cyclic, direct_product, symmetric
 from classfield.mackey import (
     GModule, InvalidDescentBasis, NotMackeySystem, RicFunctor, SubgroupSystem,
     abelianization_functor, adjunction_maps, check_cohomological,
@@ -13,13 +13,14 @@ from classfield.mackey import (
     functor_to_json, omega_functor, permutation_module, quotient_functor,
     sign_module, system_from_predicate, trivial_module, unramified_system,
     validate_functor_morphism, validate_ric_functor, validate_subgroup_system,
-    NotSubfunctor, _ric_failure, subgroup_key_to_id,
+    NotSubfunctor, _ric_failure, subgroup_key_to_id, system_from_json,
+    system_to_json,
 )
 from classfield.groups import _generating_set
 from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
-from conftest import catalog_groups, random_modules
+from conftest import catalog_groups, random_modules, without_self_induction
 
 
 def subgroup_key(group, size, pred=lambda h: True):
@@ -27,7 +28,69 @@ def subgroup_key(group, size, pred=lambda h: True):
                 if len(h) == size and pred(h))
 
 
+def _mackey_by_scan(sys):
+    """The Mackey-system conditions, scanned over every (H, I, J)."""
+    res, ind = sys.res_sets, sys.ind_sets
+    caps = [(i, j, tuple(sorted(set(i) & set(j)))) for k in sys.points()
+            for i in res.get(k, ()) for j in ind.get(k, ())]
+    return all(cap in res.get(j, ()) and cap in ind.get(i, ()) for i, j, cap in caps)
+
+
+def _arithmetic_by_scan(sys):
+    points = sys.points()
+    return all(set(sys.res_sets.get(k, ())) == {j for j in points if set(j) <= set(k)}
+               == set(sys.ind_sets.get(k, ())) for k in points)
+
+
+def _klein_systems():
+    """Two valid systems on C2xC2 that are not Mackey systems.  S_r(G) =
+    {G, A, 1} and S_i(G) = {G, B, 1} meet in 1; the first drops 1 from
+    S_r(B), the second drops it from S_i(A)."""
+    g = catalog()["C2xC2"]
+    one, a, b, c, top = (0,), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)
+    out = []
+    for short_res in (True, False):
+        res = {k: {k, one} for k in (one, a, b, c, top)}
+        ind = dict(res)
+        res[top], ind[top] = {top, a, one}, {top, b, one}
+        if short_res:
+            res[b] = {b}
+        else:
+            ind[a] = {a}
+        out.append(SubgroupSystem(g, g.all_subgroups(), res, ind))
+    return out
+
+
 class TestSubgroupSystem:
+    def test_flags_are_read_off_the_edge_sets(self, group_catalog):
+        # each flag is a fact about the edge sets: a fresh copy reads the
+        # same before and after validation, whether or not that passes
+        no_self = without_self_induction(full_system(group_catalog["S3"]))
+        systems = [full_system(g) for g in group_catalog.values()]
+        systems += [*_klein_systems(), no_self]
+        for sys in systems:
+            data = system_to_json(sys)
+            before = system_from_json(sys.group, data)
+            flags = (before.is_mackey, before.is_arithmetic)
+            after = system_from_json(sys.group, data)
+            validate_subgroup_system(after)
+            assert (after.is_mackey, after.is_arithmetic) == flags
+            assert flags == (_mackey_by_scan(sys), _arithmetic_by_scan(sys))
+        assert [(s.is_mackey, s.is_arithmetic) for s in systems[-3:]] == [
+            (False, False), (False, False), (True, False)]
+        assert not validate_subgroup_system(no_self).passed
+        assert all(s.is_mackey and s.is_arithmetic for s in systems[:-3])
+
+    def test_mackey_formula_on_tables_read_from_json(self, group_catalog):
+        # nothing validates the loaded system before the formula asks
+        for name in ("S3", "D4"):
+            g = group_catalog[name]
+            sys = full_system(g)
+            pi = abelianization_functor(sys, commutator_system(sys))
+            loaded = functor_from_json(g, functor_to_json(pi))
+            assert loaded.domain is not sys
+            assert check_mackey_formula(loaded).passed
+
     def test_full_system_is_mackey(self, group_catalog):
         for name in ("S3", "D4", "C12"):
             sys = full_system(group_catalog[name])
@@ -149,11 +212,9 @@ class TestAxiomCheckers:
         assert rep.witness is not None
 
     def test_mackey_requires_mackey_system(self):
-        s3 = symmetric(3)
-        sys = system_from_predicate(s3, lambda h, i: len(i) != 2 or h == i)
-        validate_subgroup_system(sys)
-        pi = abelianization_functor(sys, commutator_system(sys))
-        if not sys.is_mackey:
+        for sys in _klein_systems():
+            assert validate_subgroup_system(sys).passed and not sys.is_mackey
+            pi = abelianization_functor(sys, commutator_system(sys))
             with pytest.raises(NotMackeySystem):
                 check_mackey_formula(pi)
 
