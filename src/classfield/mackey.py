@@ -64,8 +64,10 @@ class SubgroupSystem:
 
     Keys are sorted element tuples.  ``res_sets[H]`` lists the subgroups
     restriction maps out of C(H) may target; ``ind_sets[H]`` the sources
-    of induction maps into C(H).  ``is_mackey`` and ``is_arithmetic`` are
-    read off these sets on first access, a missing set reading as empty.
+    of induction maps into C(H).  The constructor checks the subgroup-system
+    axioms and raises ``ValueError`` at the first failure, so every system
+    is valid; ``is_mackey`` and ``is_arithmetic`` are read off the edge sets
+    on first access.
     """
 
     def __init__(self, group: FiniteGroup, base, res_sets, ind_sets):
@@ -75,6 +77,9 @@ class SubgroupSystem:
         self.res_sets = {k: tuple(sorted(v)) for k, v in res_sets.items()}
         self.ind_sets = {k: tuple(sorted(v)) for k, v in ind_sets.items()}
         self._conj = {}
+        if _system_failure(self, _generating_set(group)) is not None:
+            failure = _system_failure(self, range(group.order))
+            raise ValueError(f"{failure.detail} at {failure.witness}")
 
     def points(self):
         return self._points
@@ -109,18 +114,58 @@ class SubgroupSystem:
         S_r(H) and every J in S_i(H)."""
         res, ind = self.res_sets, self.ind_sets
         for k in self._points:
-            for ikey in res.get(k, ()):
-                for jkey in ind.get(k, ()):
+            for ikey in res[k]:
+                for jkey in ind[k]:
                     cap = tuple(sorted(set(ikey) & set(jkey)))
-                    if cap not in res.get(jkey, ()) or cap not in ind.get(ikey, ()):
+                    if cap not in res[jkey] or cap not in ind[ikey]:
                         return False
         return True
 
     @cached_property
     def is_arithmetic(self) -> bool:
         """S_r(H) and S_i(H) are all the points inside H, at every point H."""
-        return all(set(self.res_sets.get(k, ())) == set(self.below(k))
-                   == set(self.ind_sets.get(k, ())) for k in self._points)
+        return all(set(self.res_sets[k]) == set(self.below(k)) == set(self.ind_sets[k])
+                   for k in self._points)
+
+
+def _system_failure(system: SubgroupSystem, elems) -> CheckItem | None:
+    """First failing subgroup-system axiom, taking the two conjugation
+    conditions (the points, and each S_r and S_i, are conjugation-stable)
+    only for g in ``elems``.
+
+    The g whose conjugation maps the points onto points, and each S(X) onto
+    S(gX), form a set closed under products: for two of them, g and h,
+    ghX is a point and gh S(X) = g S(hX) = S(ghX).  A product-closed subset
+    of the finite group G that holds ``_generating_set(G)`` is all of G.  So
+    the pass over a generating set fails exactly when the pass over G does;
+    only its first witness may differ, which is why the constructor reruns
+    the failing pass over G.
+    """
+    fail = partial(CheckItem, "subgroup_system_valid", False)
+    points = set(system.points())
+    for k in points:
+        for g in elems:
+            if system.conjugate(g, k) not in points:
+                return fail((g, k), "base not closed under conjugation")
+    for star, sets in (("r", system.res_sets), ("i", system.ind_sets)):
+        for k in points:
+            entries = sets.get(k)
+            if entries is None:
+                return fail(k, f"missing {star}-set")
+            if k not in entries:
+                return fail(k, f"H not in S_{star}(H)")
+            for j in entries:
+                if j not in points or not set(j) <= set(k):
+                    return fail((k, j), f"S_{star}(H) member not a subgroup of H")
+                for l in sets.get(j, ()):
+                    if l not in entries:
+                        return fail((k, j, l), f"S_{star} not transitive")
+            for g in elems:
+                conj_k = system.conjugate(g, k)
+                conj_entries = {system.conjugate(g, j) for j in entries}
+                if conj_entries != set(sets.get(conj_k, ())):
+                    return fail((g, k), f"S_{star} not conjugation-equivariant")
+    return None
 
 
 def full_system(group: FiniteGroup) -> SubgroupSystem:
@@ -151,42 +196,7 @@ def unramified_system(datum: RamificationDatum) -> SubgroupSystem:
     def edge_ok(h, i):
         return set(inertia_subgroup(datum, h).elements) <= i.element_set
 
-    sys = system_from_predicate(datum.group, edge_ok)
-    report = validate_subgroup_system(sys)
-    if not report.passed:
-        raise AssertionError(f"unramified system invalid: {report.detail}")
-    return sys
-
-
-def validate_subgroup_system(candidate: SubgroupSystem) -> CheckItem:
-    """Subgroup-system axioms; the Mackey-system conditions are ``is_mackey``."""
-    fail = partial(CheckItem, "subgroup_system_valid", False)
-    grp = candidate.group
-    points = set(candidate.points())
-    # base closed under conjugation
-    for k in points:
-        for g in range(grp.order):
-            if candidate.conjugate(g, k) not in points:
-                return fail((g, k), "base not closed under conjugation")
-    for star, sets in (("r", candidate.res_sets), ("i", candidate.ind_sets)):
-        for k in points:
-            entries = sets.get(k)
-            if entries is None:
-                return fail(k, f"missing {star}-set")
-            if k not in entries:
-                return fail(k, f"H not in S_{star}(H)")
-            for j in entries:
-                if j not in points or not set(j) <= set(k):
-                    return fail((k, j), f"S_{star}(H) member not a subgroup of H")
-                for l in sets.get(j, ()):
-                    if l not in entries:
-                        return fail((k, j, l), f"S_{star} not transitive")
-            for g in range(grp.order):
-                conj_k = candidate.conjugate(g, k)
-                conj_entries = {candidate.conjugate(g, j) for j in entries}
-                if conj_entries != set(sets.get(conj_k, ())):
-                    return fail((g, k), f"S_{star} not conjugation-equivariant")
-    return CheckItem("subgroup_system_valid", True)
+    return system_from_predicate(datum.group, edge_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +350,18 @@ def validate_ric_functor(phi: RicFunctor) -> CheckItem:
     (s, hY, hX) give
       con_{sh,Y} o res_{Y,X} = con_{s,hY} o res_{hY,hX} o con_{h,X}
                              = res_{shY,shX} o con_{sh,X}.
-    That step needs hY in S_r(hX) (or S_i(hX)), so the reduction applies
-    only when conjugation by S preserves the points and edge sets;
-    otherwise every element is checked. When the reduced pass fails, the
-    checks rerun over all of G, which reports the exhaustive scan's first
-    witness; that pass fails too, since S is a subset of G.
+    That step needs hY in S_r(hX) (or S_i(hX)): conjugation must preserve
+    the points and edge sets, and it does on every domain.  A subgroup
+    system checks this when it is built; a spectrum's edges are read off S
+    and E, and ``Spectrum._validate_extension`` checks that E is
+    equivariant.  When the reduced pass fails, the checks rerun over all
+    of G, which reports the exhaustive scan's first witness; that pass
+    fails too, since S is a subset of G.
     """
-    dom = phi.domain
-    grp = dom.group
-    gens = _generating_set(grp)
-    if _ric_failure(phi, gens) is None:
-        points = set(dom.points())
-        if all(dom.conjugate(s, x) in points
-               and {dom.conjugate(s, y) for y in edges(x)}
-               == set(edges(dom.conjugate(s, x)))
-               for s in gens for x in points
-               for edges in (dom.res_set, dom.ind_set)):
-            return CheckItem("ric_axioms", True)
-    return _ric_failure(phi, range(grp.order)) or CheckItem("ric_axioms", True)
+    grp = phi.domain.group
+    if _ric_failure(phi, _generating_set(grp)) is None:
+        return CheckItem("ric_axioms", True)
+    return _ric_failure(phi, range(grp.order))
 
 
 def _ric_failure(phi: RicFunctor, elems) -> CheckItem | None:

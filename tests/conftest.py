@@ -1,11 +1,13 @@
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from classfield import mackey
 from classfield.catalog import catalog
 from classfield.groups import abelianization
 from classfield.mackey import SubgroupSystem, permutation_module
@@ -58,12 +60,33 @@ def admissible_data(group):
 
 
 def without_self_induction(system):
-    """The system with its top group G dropped from S_i(G), and nothing else
-    changed: every axiom holds but reflexivity of S_i at G."""
+    """The data of ``system`` with its top group G dropped from S_i(G), and
+    nothing else changed: every axiom holds but reflexivity of S_i at G."""
     top = system.points()[-1]
     ind = {k: tuple(j for j in v if j != top) for k, v in system.ind_sets.items()}
-    return SubgroupSystem(system.group, [system.subgroup(k) for k in system.points()],
-                          system.res_sets, ind)
+    return (system.group, [system.subgroup(k) for k in system.points()],
+            system.res_sets, ind)
+
+
+def system_failure(group, base, res, ind, elems=None):
+    """The first failing subgroup-system axiom of the data, taking the
+    conjugation conditions over ``elems`` (all of G by default), on a system
+    built without the constructor's own check."""
+    with mock.patch.object(mackey, "_system_failure", return_value=None):
+        unchecked = SubgroupSystem(group, base, res, ind)
+    return mackey._system_failure(
+        unchecked, range(group.order) if elems is None else elems)
+
+
+def assert_rejected(group, base, res, ind):
+    """``SubgroupSystem`` refuses the data, naming the exhaustive scan's
+    first failure; returns that failure."""
+    failure = system_failure(group, base, res, ind)
+    assert failure is not None and not failure.passed
+    with pytest.raises(ValueError) as exc:
+        SubgroupSystem(group, base, res, ind)
+    assert str(exc.value) == f"{failure.detail} at {failure.witness}"
+    return failure
 
 
 @pytest.fixture(scope="session")

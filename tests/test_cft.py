@@ -4,8 +4,8 @@ import random
 import pytest
 
 from classfield.abelian import (
-    AbHom, FgAbGroup, element_preimage, group_order, identity_matrix,
-    subgroup_contains, subgroup_elements,
+    AbHom, FgAbGroup, element_preimage, group_order, identity_matrix, is_injective,
+    is_surjective, subgroup_contains, subgroup_elements,
 )
 from classfield.catalog import catalog, cyclic, direct_product, symmetric
 from classfield.cft import (
@@ -16,7 +16,7 @@ from classfield.cft import (
     norm_subgroup_assignment, reduced_verification, tate_h0, tate_hminus1,
     tautological_assignment, tautological_cft, unramified_extension,
     unramified_upsilon, upsilon, upsilon_morphism, upsilon_tilde,
-    validate_fnd, validate_urfnd, validate_valuation,
+    validate_fnd, validate_urfnd, validate_valuation, _kernel_map,
 )
 from classfield.groups import FiniteGroup
 from classfield.mackey import (
@@ -24,10 +24,12 @@ from classfield.mackey import (
     full_system, permutation_module, quotient_functor, sign_module, system_from_predicate,
     trivial_module, unramified_system, validate_functor_morphism, validate_ric_functor,
 )
-from classfield.ramification import RamificationDatum
+from classfield.ramification import RamificationDatum, frobenius_element
 from classfield.transfer import commutator_system
 
-from conftest import admissible_data, random_modules, relabeled, without_self_induction
+from conftest import (
+    admissible_data, assert_rejected, random_modules, relabeled, without_self_induction,
+)
 from oracles import (
     classical_tate_oracle, order_multiset, tate_h0_oracle,
     tate_hminus1_oracle,
@@ -102,20 +104,21 @@ class TestSpectrum:
             for datum in admissible_data(g):
                 ur = unramified_system(datum)
                 spectra.append(Spectrum(ur, unramified_extension(ur, datum)))
-        # S_i(S3) lacks S3; then S_i(S3) lacks the subgroups of order 2
+        # S_i(S3) without the subgroups of order 2
         s3 = group_catalog["S3"]
-        hand = [Spectrum(sys, full_extension(sys)) for sys in (
-            without_self_induction(full_system(s3)),
-            system_from_predicate(s3, lambda h, i: len(i) != 2 or h == i))]
-        for spec in spectra + hand:
-            assert (spec.is_l_coherent, spec.is_i_coherent) == _coherence_by_scan(spec)
-        assert [(s.is_l_coherent, s.is_i_coherent) for s in hand] == [
-            (False, False), (True, False)]
+        no_order2 = system_from_predicate(s3, lambda h, i: len(i) != 2 or h == i)
+        hand = Spectrum(no_order2, full_extension(no_order2))
+        for spec in spectra + [hand]:
+            # l-coherence holds on every spectrum, as S_i(H) holds H
+            assert _coherence_by_scan(spec) == (True, spec.is_i_coherent)
+        assert not hand.is_i_coherent
+        # without S3 in S_i(S3), which l-coherence asks for, there is no system
+        assert_rejected(*without_self_induction(full_system(s3)))
 
     def test_pairs_and_coherence(self):
         datum, sys, _, _ = c4_fixture()
         spec = Spectrum(sys, unramified_extension(sys, datum))
-        assert spec.is_l_coherent and spec.is_i_coherent
+        assert spec.is_i_coherent
         assert all(u == h or set(u) < set(h) for h, u in spec.points())
 
     def test_extension_must_be_equivariant(self):
@@ -625,7 +628,8 @@ class TestFnd:
             spec = Spectrum(sys, unramified_extension(sys, datum))
             assert validate_fnd(c, vfam, spec, datum).passed
 
-    def test_negation_fails_exactness(self):
+    @staticmethod
+    def _negation():
         c2 = cyclic(2)
         datum = RamificationDatum(c2, 2, (0, 1))
         sys = full_system(c2)
@@ -633,7 +637,10 @@ class TestFnd:
         vfam = ValuationFamily(c, FgAbGroup(1),
                                {k: AbHom.zero(c.values[k], FgAbGroup(1))
                                 for k in sys.points()})
-        spec = Spectrum(sys, unramified_extension(sys, datum))
+        return c, vfam, Spectrum(sys, unramified_extension(sys, datum)), datum
+
+    def test_negation_fails_exactness(self):
+        c, vfam, spec, datum = self._negation()
         rep = validate_fnd(c, vfam, spec, datum)
         assert not rep.passed
         names = {check.name for check in rep.checks if not check.passed}
@@ -654,7 +661,65 @@ class TestFnd:
         assert vfam.components[(0, 1)].kernel.rows == ((0, 1),)
         rep = validate_fnd(c, vfam, Spectrum(sys, unramified_extension(sys, datum)), datum)
         exact = [check for check in rep.checks if check.name == "kernel_sequence_exact"]
-        assert rep.passed and len(exact) == 4
+        assert rep.passed and len(exact) == 3
+
+    def test_first_witness_matches_the_scan_over_every_base_group(self):
+        # the exactness at (U, V) does not read H, so each (U, V) is checked
+        # once; its first failure is the one a scan over every base group
+        # H >= U and every (U, V) below it meets first
+        def scan_over_base_groups(c, v, spectrum, datum):
+            sys = c.domain
+            ur = unramified_extension(spectrum.system, datum)
+            for hkey in spectrum.system.points():
+                for ukey in set(sys.points()):
+                    if not set(ukey) <= set(hkey):
+                        continue
+                    for vkey in ur.get(ukey, ()):
+                        phi = 0 if vkey == ukey else frobenius_element(
+                            datum, sys.subgroup(ukey), sys.subgroup(vkey))
+                        res_k = _kernel_map(v, ukey, vkey, c.res[(vkey, ukey)])
+                        ind_k = _kernel_map(v, vkey, ukey, c.ind[(ukey, vkey)])
+                        con_k = _kernel_map(v, vkey, vkey, c.con[(phi, vkey)].add(
+                            AbHom.identity(c.values[vkey]).scaled(-1)))
+                        if not (is_injective(res_k) and res_k.image == con_k.kernel
+                                and con_k.image == ind_k.kernel
+                                and is_surjective(ind_k)):
+                            return hkey, ukey, vkey
+            return None
+
+        # C4 on Z + Z[C4], v the first coordinate, which passes, with a
+        # defect planted at U = C2, below two base groups: ind from 1 to C2
+        # scaled by 3 is not onto the kernel
+        c4 = cyclic(4)
+        datum = RamificationDatum(c4, 4, (0, 1, 2, 3))
+        sys = full_system(c4)
+        z5 = FgAbGroup(5)
+        shift = AbHom(z5, z5, ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 1, 0, 0, 0),
+                               (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)))
+        c = fixed_point_functor(GModule.from_generator_action(c4, z5, {1: shift}), sys)
+        vfam = first_coordinate_family(c)
+        spec = Spectrum(sys, unramified_extension(sys, datum))
+        assert validate_fnd(c, vfam, spec, datum).passed
+        c2, one = (0, 2), (0,)
+        c.ind[(c2, one)] = c.ind[(c2, one)].scaled(3)
+        planted = (c, vfam, spec, datum)
+        for scenario in (self._negation(), planted):
+            rep = validate_fnd(*scenario)
+            first = next(x for x in rep.checks[1:] if not x.passed)
+            assert first.name == "kernel_sequence_exact"
+            assert first.witness == scan_over_base_groups(*scenario)
+        assert first.witness == (c2, c2, one)
+
+    def test_urfnd_runs_on_the_unramified_subspectrum(self):
+        # on a spectrum with ramified pairs the urFND part is still that of
+        # the unramified sub-spectrum, not of the spectrum given
+        datum, sys, c, vfam = v4_fixture()
+        full = Spectrum(sys, full_extension(sys))
+        ur = Spectrum(sys, unramified_extension(sys, datum))
+        assert not validate_urfnd(c, vfam, full, datum).passed
+        assert validate_urfnd(c, vfam, ur, datum).passed
+        rep = validate_fnd(c, vfam, full, datum)
+        assert rep.parts["urfnd_on_unramified_subspectrum"].passed
 
     def test_trivial_spectrum_vacuous(self):
         datum, sys, c, vfam = c2_fixture()

@@ -89,6 +89,19 @@ class TestCftScenarios:
                          "validate_functor_morphism": 2}
 
 
+    def test_one_unramified_spectrum(self, monkeypatch, tmp_path):
+        # the default spectrum is the unramified one, which the FND check
+        # reuses instead of building and validating it again
+        from classfield import cft, cli
+        calls = []
+        check = cft.Spectrum._validate_extension
+        monkeypatch.setattr(cft.Spectrum, "_validate_extension",
+                            lambda self: calls.append(1) or check(self))
+        assert cli.main(["cft", "--input", str(FIXTURES / "c4_unramified.json"),
+                         "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+
+
 class TestGroupReport:
     def test_s3(self, tmp_path):
         path = tmp_path / "s3.json"
@@ -173,13 +186,52 @@ class TestMackeyCheck:
         statuses = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
         assert statuses["mackey_formula"] == "pass"
 
+    def test_invalid_system_is_an_input_error(self, tmp_path):
+        # S_r(S3) without one subgroup of order 2 is not conjugation-
+        # equivariant: the system is refused when it is built, from a
+        # system block or from tables, with one line and no traceback
+        from classfield.catalog import catalog
+        from classfield.mackey import (
+            abelianization_functor, full_system, functor_to_json, system_to_json)
+        from classfield.transfer import commutator_system
+        s3 = full_system(catalog()["S3"])
+        custom = dict(system_to_json(s3), kind="custom")
+        tables = functor_to_json(abelianization_functor(s3, commutator_system(s3)))
+        for data in (custom, tables["system"]):
+            data["res"]["0,1,2,3,4,5"].remove("0,1")
+        detail = "S_r not conjugation-equivariant at (2, (0, 1, 2, 3, 4, 5))"
+        path = tmp_path / "broken.json"
+        for scenario, what in (
+                ({"system": custom, "functor": {"kind": "abelianization"}},
+                 "subgroup system"),
+                ({"functor": {"kind": "tables", "functor": tables}},
+                 "functor tables")):
+            path.write_text(json.dumps(dict(scenario, group={"builtin": "S3"})))
+            proc = run_cli("mackey", "--input", str(path))
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == f"input error: invalid {what}: {detail}\n"
+
+    def test_tables_system_is_checked_once(self, monkeypatch, tmp_path):
+        # by the constructor, over a generating set, and by nothing else
+        from classfield import cli, mackey
+        _, scenario = _scenarios()[3]
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(scenario))
+        calls = []
+        check = mackey._system_failure
+        monkeypatch.setattr(mackey, "_system_failure",
+                            lambda *args: calls.append(1) or check(*args))
+        assert cli.main(["mackey", "--input", str(path),
+                         "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+
     def test_checks_run_on_the_system_of_the_tables(self, tmp_path):
         # a valid system that is not a Mackey system: S_r(G) = {G, A, 1} and
         # S_i(G) = {G, B, 1} meet in 1, which is not in S_r(B) = {B}
         from classfield.catalog import catalog
         from classfield.mackey import (
             SubgroupSystem, abelianization_functor, full_system,
-            functor_to_json, system_to_json, validate_subgroup_system)
+            functor_to_json, system_to_json)
         from classfield.transfer import commutator_system
         g = catalog()["C2xC2"]
         one, a, b, c, top = (0,), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)
@@ -187,7 +239,7 @@ class TestMackeyCheck:
         ind = dict(res)
         res[top], res[b], ind[top] = {top, a, one}, {b}, {top, b, one}
         odd = SubgroupSystem(g, g.all_subgroups(), res, ind)
-        assert validate_subgroup_system(odd).passed and not odd.is_mackey
+        assert not odd.is_mackey
         full = full_system(g)
 
         def tables(system):

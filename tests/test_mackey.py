@@ -12,15 +12,18 @@ from classfield.mackey import (
     fixed_point_functor, full_system, functor_colimit, functor_from_json,
     functor_to_json, omega_functor, permutation_module, quotient_functor,
     sign_module, system_from_predicate, trivial_module, unramified_system,
-    validate_functor_morphism, validate_ric_functor, validate_subgroup_system,
-    NotSubfunctor, _ric_failure, subgroup_key_to_id, system_from_json,
+    validate_functor_morphism, validate_ric_functor, NotSubfunctor, _ric_failure,
+    subgroup_key_to_id, system_from_json,
     system_to_json,
 )
 from classfield.groups import _generating_set
 from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
-from conftest import catalog_groups, random_modules, without_self_induction
+from conftest import (
+    assert_rejected, catalog_groups, random_modules, system_failure,
+    without_self_induction,
+)
 
 
 def subgroup_key(group, size, pred=lambda h: True):
@@ -63,26 +66,24 @@ def _klein_systems():
 
 class TestSubgroupSystem:
     def test_flags_are_read_off_the_edge_sets(self, group_catalog):
-        # each flag is a fact about the edge sets: a fresh copy reads the
-        # same before and after validation, whether or not that passes
-        no_self = without_self_induction(full_system(group_catalog["S3"]))
+        # each flag is a fact about the edge sets, read the same on a fresh
+        # copy of the system
         systems = [full_system(g) for g in group_catalog.values()]
-        systems += [*_klein_systems(), no_self]
+        systems += _klein_systems()
         for sys in systems:
-            data = system_to_json(sys)
-            before = system_from_json(sys.group, data)
-            flags = (before.is_mackey, before.is_arithmetic)
-            after = system_from_json(sys.group, data)
-            validate_subgroup_system(after)
-            assert (after.is_mackey, after.is_arithmetic) == flags
+            copy = system_from_json(sys.group, system_to_json(sys))
+            flags = (copy.is_mackey, copy.is_arithmetic)
             assert flags == (_mackey_by_scan(sys), _arithmetic_by_scan(sys))
-        assert [(s.is_mackey, s.is_arithmetic) for s in systems[-3:]] == [
-            (False, False), (False, False), (True, False)]
-        assert not validate_subgroup_system(no_self).passed
-        assert all(s.is_mackey and s.is_arithmetic for s in systems[:-3])
+        assert [(s.is_mackey, s.is_arithmetic) for s in systems[-2:]] == [
+            (False, False), (False, False)]
+        assert all(s.is_mackey and s.is_arithmetic for s in systems[:-2])
+        # without S3 in S_i(S3) the data is no system, so it has no flags
+        no_self = without_self_induction(full_system(group_catalog["S3"]))
+        failure = assert_rejected(*no_self)
+        assert failure.detail == "H not in S_i(H)"
 
     def test_mackey_formula_on_tables_read_from_json(self, group_catalog):
-        # nothing validates the loaded system before the formula asks
+        # the loaded system reads is_mackey off its own edge sets
         for name in ("S3", "D4"):
             g = group_catalog[name]
             sys = full_system(g)
@@ -94,36 +95,56 @@ class TestSubgroupSystem:
     def test_full_system_is_mackey(self, group_catalog):
         for name in ("S3", "D4", "C12"):
             sys = full_system(group_catalog[name])
-            rep = validate_subgroup_system(sys)
-            assert rep.passed and sys.is_mackey and sys.is_arithmetic
+            assert sys.is_mackey and sys.is_arithmetic
 
     def test_missing_reflexivity_fails(self):
         s3 = symmetric(3)
         sys = full_system(s3)
-        broken = SubgroupSystem(
+        failure = assert_rejected(
             s3, [sys.subgroup(k) for k in sys.points()],
             {k: tuple(j for j in v if j != k) if k != (0,) else v
              for k, v in sys.res_sets.items()},
             sys.ind_sets)
-        assert not validate_subgroup_system(broken).passed
+        assert failure.detail == "H not in S_r(H)"
 
     def test_conjugation_closure_fails(self):
         s3 = symmetric(3)
         sys = full_system(s3)
         order2 = [k for k in sys.points() if len(k) == 2]
         keep = set(sys.points()) - {order2[0]}
-        broken = SubgroupSystem(
+        failure = assert_rejected(
             s3, [sys.subgroup(k) for k in keep],
             {k: tuple(j for j in sys.res_sets[k] if j in keep) for k in keep},
             {k: tuple(j for j in sys.ind_sets[k] if j in keep) for k in keep})
-        rep = validate_subgroup_system(broken)
-        assert not rep.passed
+        assert failure.detail == "base not closed under conjugation"
+
+    def test_generator_pass_agrees_with_the_exhaustive_scan(self):
+        # every catalog group of order <= 24 with one non-normal subgroup
+        # dropped from its full system: 128 data sets whose base is not
+        # closed under conjugation.  The pass over a generating set fails on
+        # each, as the pass over G does, but it may name another first
+        # witness; the constructor names the exhaustive one
+        planted = differ = 0
+        for g in catalog_groups(max_order=24):
+            full = full_system(g)
+            for drop in full.points():
+                if full.subgroup(drop).is_normal():
+                    continue
+                keep = [k for k in full.points() if k != drop]
+                data = (g, [full.subgroup(k) for k in keep],
+                        {k: [j for j in full.res_sets[k] if j != drop] for k in keep},
+                        {k: [j for j in full.ind_sets[k] if j != drop] for k in keep})
+                failure = assert_rejected(*data)
+                reduced = system_failure(*data, elems=_generating_set(g))
+                assert reduced is not None and not reduced.passed
+                planted += 1
+                differ += reduced.witness != failure.witness
+        assert planted == 128 and differ > 0
 
     def test_unramified_system_valid(self):
         v4 = direct_product(cyclic(2), cyclic(2))
         d = RamificationDatum(v4, 2, (0, 0, 1, 1))
         sys = unramified_system(d)
-        assert validate_subgroup_system(sys).passed
         assert sys.is_mackey
 
 
@@ -213,7 +234,7 @@ class TestAxiomCheckers:
 
     def test_mackey_requires_mackey_system(self):
         for sys in _klein_systems():
-            assert validate_subgroup_system(sys).passed and not sys.is_mackey
+            assert not sys.is_mackey
             pi = abelianization_functor(sys, commutator_system(sys))
             with pytest.raises(NotMackeySystem):
                 check_mackey_formula(pi)
@@ -430,7 +451,6 @@ class TestDescentAndAdjunction:
             below = {h.elements: [k.elements for k in base
                                   if k.element_set <= h.element_set] for h in base}
             sys = SubgroupSystem(g, base, below, below)
-            assert validate_subgroup_system(sys).passed
             for module in random_modules(g, seed=5, count=3):
                 fp = fixed_point_functor(module, sys)
                 adj = adjunction_maps(module, fp, [n])
@@ -679,27 +699,19 @@ class TestReducedRicCheck:
             assert self._assert_caught(phi).detail == "res not equivariant"
 
     def test_domain_not_closed_under_conjugation_checks_every_element(self):
-        # S_r(S3) keeps one subgroup of order 2, so the induction over
-        # generators does not apply; a bad res entry that only a
-        # non-generator reaches must still be found
+        # S_r(S3) keeping one subgroup of order 2 is not conjugation-
+        # equivariant, so it is no domain: the constructor refuses it, and
+        # names the first witness of the scan over every element
         s3 = symmetric(3)
         full = full_system(s3)
-        pi = abelianization_functor(full, commutator_system(full))
         top = tuple(range(6))
-        keep, bad = sorted(k for k in full.points() if len(k) == 2)[::2]
+        keep = sorted(k for k in full.points() if len(k) == 2)[0]
         res_sets = dict(full.res_sets)
         res_sets[top] = tuple(k for k in res_sets[top]
                               if len(k) != 2 or k == keep)
-        dom = SubgroupSystem(s3, [full.subgroup(k) for k in full.points()],
-                             res_sets, full.ind_sets)
-        res = dict(pi.res)
-        res[(bad, top)] = AbHom.zero(pi.values[top], pi.values[bad])
-        assert res[(bad, top)] != pi.res[(bad, top)]
-        phi = RicFunctor(dom, pi.values, res, pi.ind, pi.con)
-        assert _ric_reduced(phi) is None
-        rep = validate_ric_functor(phi)
-        assert not rep.passed
-        assert rep.witness == _ric_exhaustive(phi).witness
+        failure = assert_rejected(s3, [full.subgroup(k) for k in full.points()],
+                                  res_sets, full.ind_sets)
+        assert failure.detail == "S_r not conjugation-equivariant"
 
 
 def _con_per_element(phi):
