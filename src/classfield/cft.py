@@ -493,7 +493,7 @@ def unramified_upsilon(c: RicFunctor, v: ValuationFamily,
 
 
 def validate_fnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
-                 datum: RamificationDatum) -> Report:
+                 datum: RamificationDatum, ur_ext: dict | None = None) -> Report:
     """urFND on the unramified sub-spectrum plus the kernel exactness.
 
     For each open subgroup U of a base group and each unramified open
@@ -502,9 +502,12 @@ def validate_fnd(c: RicFunctor, v: ValuationFamily, spectrum: Spectrum,
     (restriction, con_{phi-1}, induction) must be exact.  Each (U, V) is
     checked once; a failure names (U, U, V), taking U itself as the base
     group above U, as it is the first one in ``points()`` order.
+    ``ur_ext`` is ``unramified_extension(spectrum.system, datum)``, computed
+    here when the caller does not hold it.
     """
     report = Report()
-    ur_ext = unramified_extension(spectrum.system, datum)
+    if ur_ext is None:
+        ur_ext = unramified_extension(spectrum.system, datum)
     ur_spec = spectrum
     if spectrum.extension != {k: tuple(sorted(v)) for k, v in ur_ext.items()}:
         ur_spec = Spectrum(spectrum.system, ur_ext)

@@ -304,6 +304,7 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
 
     spec_data = _object(data.get("spectrum", {"kind": "unramified"}),
                         "spectrum")
+    ur_ext = None  # validate_fnd computes it for a spectrum given by pairs
     if "pairs" in spec_data:
         pairs = spec_data["pairs"]
         if not isinstance(pairs, list):
@@ -320,14 +321,14 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
             ext[k].add(k)
         extension = {k: sorted(v) for k, v in ext.items()}
     elif spec_data.get("kind") == "unramified":
-        extension = unramified_extension(system, datum)
+        extension = ur_ext = unramified_extension(system, datum)
     else:
         raise InputError("spectrum needs 'pairs' or kind 'unramified'")
     spectrum = Spectrum(system, extension)
 
     # validate_fnd runs the urFND on Sp(system, unramified_extension), which
     # runs the valuation check; each verdict is read from the part it nests
-    fnd = validate_fnd(c, vfam, spectrum, datum)
+    fnd = validate_fnd(c, vfam, spectrum, datum, ur_ext)
     ur = fnd.parts["urfnd_on_unramified_subspectrum"]
     report = Report()
     report.nest("valuation_valid", ur.parts["valuation_valid"])

@@ -602,14 +602,17 @@ def quotient_group(g: FiniteGroup, n: Subgroup,
 # generating sets
 # ---------------------------------------------------------------------------
 
-def _generating_set(g: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = {0}
-    for x in range(1, g.order):
-        if x in span:
-            continue
-        gens.append(x)
-        span = set(g.generated_subgroup(gens).elements)
-        if len(span) == g.order:
-            break
-    return gens
+def _generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """Greedy generators of g, least elements first; memoised on g."""
+    if "generating_set" not in g._cache:
+        gens: list[int] = []
+        span = {0}
+        for x in range(1, g.order):
+            if x in span:
+                continue
+            gens.append(x)
+            span = set(g.generated_subgroup(gens).elements)
+            if len(span) == g.order:
+                break
+        g._cache["generating_set"] = tuple(gens)
+    return g._cache["generating_set"]

@@ -20,6 +20,13 @@ from classfield.abelian import (
     subgroup_elements, subgroup_from_generators, subgroup_key,
 )
 
+from classfield.catalog import catalog
+from classfield.cft import (
+    Spectrum, full_extension, lattice_property_check, tautological_assignment,
+    tautological_cft,
+)
+from classfield.mackey import full_system
+from classfield.transfer import commutator_system
 from conftest import catalog_groups, random_modules
 from oracles import enumerate_value
 
@@ -99,6 +106,16 @@ class TestGroupBasics:
         assert a.element_order((1, 2)) == 2
         assert a.element_order((0, 1)) == 4
         assert FgAbGroup(1).element_order((3,)) == math.inf
+
+    def test_moduli_and_rank_are_derived_fields_outside_equality(self):
+        a = FgAbGroup(2, (2, 4))
+        assert a.moduli == (2, 4, 0, 0) and a.rank == 4
+        assert a.moduli is a.moduli and a.reduce(a.moduli) == a.zero()
+        b = FgAbGroup(2, [2, 4])
+        assert a == b and hash(a) == hash(b) == hash((2, (2, 4)))
+        assert repr(a) == repr(b) == "FgAbGroup(free_rank=2, invariant_factors=(2, 4))"
+        assert json.dumps(a.to_json()) == '{"free_rank": 2, "invariant_factors": [2, 4]}'
+        assert FgAbGroup(0).moduli == () and FgAbGroup(0).rank == 0
 
 
 class TestHoms:
@@ -310,6 +327,19 @@ class TestHermiteKey:
         extra += [[g + f * data.draw(st.integers(-2, 2)) for g, f in
                    zip(gens[0], group.moduli)]] if gens else []
         assert _hnf_key(group.moduli, shuffled + extra) == key
+
+    @given(ab_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_memo_agrees_with_the_uncached_body(self, group, data):
+        gens = draw_vectors(data, group, 4)
+        body = abelian._hnf_of.__wrapped__
+        families = [gens, [tuple(g) for g in gens], data.draw(st.permutations(gens)),
+                    gens + gens[:1], gens[:-1]]
+        # the same rows over the free group of the same rank have another key
+        # whenever the group has torsion
+        for moduli in (group.moduli, (0,) * group.rank):
+            for rows in families:
+                assert _hnf_key(moduli, rows) == body(moduli, tuple(map(tuple, rows)))
 
     @given(ab_groups(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -605,6 +635,25 @@ class TestOneDecompositionPerMap:
         assert hash(emb) == hash(unsolved)
         assert repr(emb) == repr(unsolved)
         assert json.dumps(emb.to_json()) == json.dumps(unsolved.to_json())
+
+
+class TestHermiteMemo:
+    """``_hnf_key`` answers from one bounded memo, ``_hnf_of``."""
+
+    def test_a_repeated_lattice_check_makes_no_new_key(self):
+        sys = full_system(catalog()["S4"])
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        assignment = tautological_assignment(tautological_cft(spec, rsys))
+        memo = abelian._hnf_of
+        memo.cache_clear()
+        assert lattice_property_check(assignment, spec, rsys).passed
+        first = memo.cache_info()
+        assert lattice_property_check(assignment, spec, rsys).passed
+        second = memo.cache_info()
+        assert first.misses > 0 and second.misses == first.misses
+        assert second.hits > first.hits
+        assert second.currsize <= second.maxsize == abelian._HNF_MEMO_SIZE
 
 
 class TestOneObjectPerValue:

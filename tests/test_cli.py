@@ -91,15 +91,18 @@ class TestCftScenarios:
 
     def test_one_unramified_spectrum(self, monkeypatch, tmp_path):
         # the default spectrum is the unramified one, which the FND check
-        # reuses instead of building and validating it again
+        # reuses instead of computing, building and validating it again
         from classfield import cft, cli
-        calls = []
+        calls, extensions = [], []
         check = cft.Spectrum._validate_extension
         monkeypatch.setattr(cft.Spectrum, "_validate_extension",
                             lambda self: calls.append(1) or check(self))
+        extension = cft.unramified_extension
+        monkeypatch.setattr(cft, "unramified_extension",
+                            lambda *args: extensions.append(1) or extension(*args))
         assert cli.main(["cft", "--input", str(FIXTURES / "c4_unramified.json"),
                          "--out", str(tmp_path / "out.json")]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(extensions) == 1
 
 
 class TestGroupReport:

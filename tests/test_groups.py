@@ -9,8 +9,8 @@ from classfield.catalog import (
     symmetric,
 )
 from classfield.groups import (
-    FiniteGroup, InvalidReps, Subgroup, Transversal, abelian_quotient,
-    abelianization, coset_reps, cosets,
+    FiniteGroup, InvalidReps, Subgroup, Transversal, _generating_set,
+    abelian_quotient, abelianization, coset_reps, cosets,
     double_coset_reps, double_coset_of, left_transversal, lift_double_coset_transversal,
     quotient_group, right_transversal, t_permutation, t_remover,
 )
@@ -413,6 +413,18 @@ class TestAbelianization:
         ab, cmap = abelianization(g)
         for vec in ab.elements():
             assert cmap(cmap.section(vec)) == vec
+
+
+class TestGeneratingSet:
+    def test_generates_the_group_and_is_computed_once(self, group_catalog, monkeypatch):
+        groups = [FiniteGroup(g.table, name=g.name, validate=False)
+                  for g in group_catalog.values()]
+        gens = [_generating_set(g) for g in groups]
+        for g, gs in zip(groups, gens):
+            assert len(g.generated_subgroup(list(gs))) == g.order
+        monkeypatch.setattr(FiniteGroup, "generated_subgroup",
+                            lambda *args: pytest.fail("generating set recomputed"))
+        assert all(_generating_set(g) is gs for g, gs in zip(groups, gens))
 
 
 class TestQuotientGroup:
