@@ -136,17 +136,21 @@ class FiniteGroup:
         return Subgroup(self, elements)
 
     def generated_subgroup(self, gens) -> "Subgroup":
-        closure = {0}
-        frontier = [0]
-        gens = list(gens) + [self.inverse[g] for g in gens]
+        return Subgroup(self, self._closure((0,), gens), validate=False)
+
+    def _closure(self, start, gens) -> set:
+        """``start`` closed under right multiplication by ``gens``: <gens> from
+        any nonempty start inside it, as g^-1 is a power of g in a finite group."""
+        closure = set(start)
+        frontier = list(closure)
         while frontier:
-            x = frontier.pop()
+            row = self.table[frontier.pop()]
             for g in gens:
-                y = self.table[x][g]
+                y = row[g]
                 if y not in closure:
                     closure.add(y)
                     frontier.append(y)
-        return Subgroup(self, closure, validate=False)
+        return closure
 
     def full_subgroup(self) -> "Subgroup":
         if "full" not in self._cache:
@@ -157,26 +161,26 @@ class FiniteGroup:
         return Subgroup(self, (0,), validate=False)
 
     def all_subgroups(self) -> tuple:
-        """Every subgroup, found by closing cyclic seeds under extension."""
+        """Every subgroup, sorted by (order, elements), by cyclic extension:
+        each found h, kept with the generators that built it, is extended by
+        one g per right coset hg outside h, as <h, ag> = <h, g> for a in h.
+        Every subgroup tops a chain 1 < <g1> < <g1, g2> < ..., so all are found."""
         if "subgroups" in self._cache:
             return self._cache["subgroups"]
-        found: dict[tuple, Subgroup] = {}
-        queue = [self.trivial_subgroup()]
-        found[(0,)] = queue[0]
-        for g in range(1, self.order):
-            h = self.generated_subgroup([g])
-            if h.elements not in found:
-                found[h.elements] = h
-                queue.append(h)
+        table = self.table
+        found = {(0,): self.trivial_subgroup()}
+        queue = [((0,), ())]
         while queue:
-            h = queue.pop()
+            elements, gens = queue.pop()
+            tried = set(elements)
             for g in range(1, self.order):
-                if g in h.element_set:
+                if g in tried:
                     continue
-                bigger = self.generated_subgroup(list(h.elements) + [g])
-                if bigger.elements not in found:
-                    found[bigger.elements] = bigger
-                    queue.append(bigger)
+                tried.update(table[a][g] for a in elements)
+                bigger = tuple(sorted(self._closure(elements, gens + (g,))))
+                if bigger not in found:
+                    found[bigger] = Subgroup(self, bigger, validate=False)
+                    queue.append((bigger, gens + (g,)))
         subs = tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
         self._cache["subgroups"] = subs
         return subs
@@ -261,10 +265,14 @@ class Subgroup:
         return self.element_set <= other.element_set
 
     def is_normal_in(self, other: "Subgroup") -> bool:
+        """Whether other normalises self; memoised.  Checked on generators:
+        conjugation by g maps self into itself when it maps self's generators
+        there, and the g that do form a subgroup, the normaliser."""
         p, key = self.parent, ("normal_in", self.elements, other.elements)
         if key not in p._cache:
+            inside = subgroup_generators(self)
             p._cache[key] = all(p.conj(g, x) in self.element_set
-                                for g in other.elements for x in self.elements)
+                                for g in subgroup_generators(other) for x in inside)
         return p._cache[key]
 
     def is_normal(self) -> bool:
@@ -467,11 +475,40 @@ def lift_double_coset_transversal(g: FiniteGroup, u: Subgroup, v: Subgroup,
     return Transversal(u, "right", tuple(lifted))
 
 
+def subgroup_generators(h: Subgroup) -> tuple[int, ...]:
+    """Greedy generators of h, least elements first; memoised on the parent."""
+    p, key = h.parent, ("gens", h.elements)
+    if key not in p._cache:
+        gens, span = [], {0}
+        for x in h.elements:
+            if len(span) == len(h.elements):
+                break
+            if x not in span:
+                gens.append(x)
+                span = p._closure(span, gens)
+        p._cache[key] = tuple(gens)
+    return p._cache[key]
+
+
 def commutator_subgroup(h: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators of h (normal in h)."""
-    p = h.parent
-    comms = {p.commutator(a, b) for a in h.elements for b in h.elements}
-    return p.generated_subgroup(comms)
+    """[h, h], memoised: the normal closure N in h of the commutators of
+    h's generators.  N lies in [h, h], which is normal in h; h/N is generated
+    by commuting images of h's generators, so it is abelian and [h, h] lies
+    in N.  N is normal once it holds each conjugate of its generators by h's
+    generators, as in ``is_normal_in``."""
+    p, key = h.parent, ("commutator", h.elements)
+    if key not in p._cache:
+        gens = subgroup_generators(h)
+        pending = [p.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]]
+        normal_gens, closure = [], {0}
+        while pending:
+            y = pending.pop()
+            if y not in closure:
+                normal_gens.append(y)
+                closure = p._closure(closure, normal_gens)
+                pending.extend(p.conj(g, y) for g in gens)
+        p._cache[key] = Subgroup(p, closure, validate=False)
+    return p._cache[key]
 
 
 class CosetCoordinateMap:
@@ -519,11 +556,6 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
     def cmul(a, b):
         return rep_of[p.table[a][b]]
 
-    for a in reps:
-        for b in reps:
-            if cmul(a, b) != cmul(b, a):
-                raise ValueError("quotient is not abelian")
-
     # greedy generators of the quotient
     gens: list[int] = []
     span = {0}
@@ -539,12 +571,14 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
                 span.add(z)
                 frontier.append(z)
                 z = cmul(z, x)
+    # every rep lies in the span of gens: H/R is abelian iff they commute
+    if any(cmul(a, b) != cmul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
+        raise ValueError("quotient is not abelian")
     k = len(gens)
-    # BFS word vectors over the generators
+    # BFS word vectors over the generators; the loop walks the growing list
     word = {0: (0,) * k}
     frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
+    for x in frontier:
         for i, g in enumerate(gens):
             y = cmul(x, g)
             if y not in word:
@@ -564,9 +598,8 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
                 seen_rels.add(rel)
                 rel_cols.append(list(rel))
     group, to_new, from_new = presentation_from_lattice(k, rel_cols)
-    coords = {}
-    for x in h.elements:
-        coords[x] = group.reduce(to_new(list(word[rep_of[x]])))
+    rep_coords = {x: to_new(list(word[x])) for x in reps}
+    coords = {x: rep_coords[rep_of[x]] for x in h.elements}
     gen_reps = []
     for rep_vec in from_new:
         e = 0
@@ -596,23 +629,3 @@ def quotient_group(g: FiniteGroup, n: Subgroup,
     table = [[index[t.rep_of[g.table[a][b]]] for b in t.reps] for a in t.reps]
     q = FiniteGroup(table, name=name or f"{g.name}/N", validate=False)
     return q, [index[t.rep_of[x]] for x in range(g.order)]
-
-
-# ---------------------------------------------------------------------------
-# generating sets
-# ---------------------------------------------------------------------------
-
-def _generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """Greedy generators of g, least elements first; memoised on g."""
-    if "generating_set" not in g._cache:
-        gens: list[int] = []
-        span = {0}
-        for x in range(1, g.order):
-            if x in span:
-                continue
-            gens.append(x)
-            span = set(g.generated_subgroup(gens).elements)
-            if len(span) == g.order:
-                break
-        g._cache["generating_set"] = tuple(gens)
-    return g._cache["generating_set"]

@@ -28,8 +28,8 @@ from .abelian import (
     fixed_subgroup, identity_matrix, is_isomorphism, quotient, subgroup_key,
 )
 from .groups import (
-    FiniteGroup, Subgroup, _generating_set, abelian_quotient, coset_reps, cosets,
-    double_coset_reps, left_transversal, subgroup_id_to_key, subgroup_key_to_id,
+    FiniteGroup, Subgroup, abelian_quotient, coset_reps, cosets, double_coset_reps,
+    left_transversal, subgroup_generators, subgroup_id_to_key, subgroup_key_to_id,
 )
 from .ramification import RamificationDatum, degrees
 from .report import CheckItem
@@ -77,7 +77,8 @@ class SubgroupSystem:
         self.res_sets = {k: tuple(sorted(v)) for k, v in res_sets.items()}
         self.ind_sets = {k: tuple(sorted(v)) for k, v in ind_sets.items()}
         self._conj = {}
-        if _system_failure(self, _generating_set(group)) is not None:
+        gens = subgroup_generators(group.full_subgroup())
+        if _system_failure(self, gens) is not None:
             failure = _system_failure(self, range(group.order))
             raise ValueError(f"{failure.detail} at {failure.witness}")
 
@@ -136,7 +137,7 @@ def _system_failure(system: SubgroupSystem, elems) -> CheckItem | None:
     The g whose conjugation maps the points onto points, and each S(X) onto
     S(gX), form a set closed under products: for two of them, g and h,
     ghX is a point and gh S(X) = g S(hX) = S(ghX).  A product-closed subset
-    of the finite group G that holds ``_generating_set(G)`` is all of G.  So
+    of the finite group G that holds a generating set is all of G.  So
     the pass over a generating set fails exactly when the pass over G does;
     only its first witness may differ, which is why the constructor reruns
     the failing pass over G.
@@ -359,7 +360,7 @@ def validate_ric_functor(phi: RicFunctor) -> CheckItem:
     fails too, since S is a subset of G.
     """
     grp = phi.domain.group
-    if _ric_failure(phi, _generating_set(grp)) is None:
+    if _ric_failure(phi, subgroup_generators(grp.full_subgroup())) is None:
         return CheckItem("ric_axioms", True)
     return _ric_failure(phi, range(grp.order))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from classfield.abelian import FgAbGroup
 from classfield.groups import (
-    FiniteGroup, _generating_set, abelianization, commutator_subgroup,
+    FiniteGroup, abelianization, commutator_subgroup, subgroup_generators,
 )
 
 
@@ -195,7 +195,7 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
         return False
     if _fingerprint(g) != _fingerprint(h):
         return False
-    gens = _generating_set(g)
+    gens = subgroup_generators(g.full_subgroup())
     by_order: dict[int, list[int]] = {}
     for x in range(h.order):
         by_order.setdefault(h.element_order(x), []).append(x)
@@ -233,3 +233,63 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
         return False
 
     return backtrack(0, [])
+
+
+# ---------------------------------------------------------------------------
+# subgroup lattice, normality and commutators by brute force
+# ---------------------------------------------------------------------------
+
+def generated_oracle(g: FiniteGroup, gens) -> tuple[int, ...]:
+    """<gens> as sorted elements, closed over the generators and their
+    inverses, as ``FiniteGroup.generated_subgroup`` did before it closed
+    over positive words only."""
+    closure = {0}
+    frontier = [0]
+    gens = list(gens) + [g.inverse[x] for x in gens]
+    while frontier:
+        x = frontier.pop()
+        for y in (g.table[x][s] for s in gens):
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return tuple(sorted(closure))
+
+
+def all_subgroups_oracle(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup's elements, sorted by (order, elements): each cyclic
+    seed and each found subgroup extended by every element outside it.
+    This is the engine's enumeration before it extended by cosets."""
+    found = {(0,)}
+    queue = [(0,)]
+    for x in range(1, g.order):
+        h = generated_oracle(g, [x])
+        if h not in found:
+            found.add(h)
+            queue.append(h)
+    while queue:
+        h = queue.pop()
+        for x in range(1, g.order):
+            if x in h:
+                continue
+            bigger = generated_oracle(g, list(h) + [x])
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def normal_in_oracle(g: FiniteGroup, u, h) -> bool:
+    """Whether a*x*a^-1 lies in u for every a in h and x in u."""
+    inside = set(u)
+    return all(g.table[g.table[a][x]][g.inverse[a]] in inside for a in h for x in u)
+
+
+def commutator_oracle(g: FiniteGroup, h) -> tuple[int, ...]:
+    """[h, h] as sorted elements, generated by every commutator of h."""
+    return generated_oracle(g, {g.commutator(a, b) for a in h for b in h})
+
+
+def quotient_is_abelian_oracle(g: FiniteGroup, h, r) -> bool:
+    """Whether h/r is abelian, r normal in h: every commutator lies in r."""
+    inside = set(r)
+    return all(g.commutator(a, b) in inside for a in h for b in h)

@@ -5,17 +5,22 @@ import pytest
 
 from classfield.abelian import FgAbGroup, group_order
 from classfield.catalog import (
-    catalog, cyclic, dicyclic, dihedral, direct_product,
+    alternating, catalog, cyclic, dicyclic, dihedral, direct_product,
     symmetric,
 )
 from classfield.groups import (
-    FiniteGroup, InvalidReps, Subgroup, Transversal, _generating_set,
+    FiniteGroup, InvalidReps, Subgroup, Transversal,
     abelian_quotient, abelianization, coset_reps, cosets,
     double_coset_reps, double_coset_of, left_transversal, lift_double_coset_transversal,
-    quotient_group, right_transversal, t_permutation, t_remover,
+    commutator_subgroup, quotient_group, right_transversal, subgroup_generators,
+    t_permutation, t_remover,
 )
+from classfield.transfer import _coabelian_check
 
-from oracles import are_isomorphic
+from oracles import (
+    all_subgroups_oracle, are_isomorphic, commutator_oracle, generated_oracle,
+    normal_in_oracle, quotient_is_abelian_oracle,
+)
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2,
                    10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 24: 1}
@@ -353,18 +358,34 @@ class TestCosetMemo:
             assert [t_remover(t, x) for x in v.elements] == [0, 0]
 
 
+def _fresh(g: FiniteGroup) -> FiniteGroup:
+    """A copy of g with an empty cache, so every answer is computed anew."""
+    return FiniteGroup(g.table, name=g.name, validate=False)
+
+
+def _c2_power(n: int) -> FiniteGroup:
+    g = cyclic(2)
+    for _ in range(n - 1):
+        g = direct_product(g, cyclic(2))
+    return g
+
+
+class TestSubgroupLattice:
+    def test_cyclic_extension_matches_the_brute_force_oracle(self, group_catalog):
+        probes = [*group_catalog.values(), _c2_power(5),
+                  direct_product(symmetric(4), cyclic(2)), alternating(5)]
+        for g in map(_fresh, probes):
+            got = [h.elements for h in g.all_subgroups()]
+            assert got == all_subgroups_oracle(g), g.name
+
+
 class TestIsNormalIn:
     def test_memoised_answer_is_the_conjugation_scan(self, group_catalog):
         # a fresh copy of each group, so the first pass computes every answer
         # and the second reads it back from the memo
-        for g in group_catalog.values():
-            if g.order > 16:
-                continue
-            g = FiniteGroup(g.table, name=g.name, validate=False)
+        for g in map(_fresh, group_catalog.values()):
             subs = g.all_subgroups()
-            scan = {(u.elements, h.elements): all(
-                        g.table[g.table[a][x]][g.inverse[a]] in u.element_set
-                        for a in h.elements for x in u.elements)
+            scan = {(u.elements, h.elements): normal_in_oracle(g, u.elements, h.elements)
                     for u in subs for h in subs}
             for _ in range(2):
                 got = {(u.elements, h.elements): u.is_normal_in(h)
@@ -417,14 +438,62 @@ class TestAbelianization:
 
 class TestGeneratingSet:
     def test_generates_the_group_and_is_computed_once(self, group_catalog, monkeypatch):
-        groups = [FiniteGroup(g.table, name=g.name, validate=False)
-                  for g in group_catalog.values()]
-        gens = [_generating_set(g) for g in groups]
+        groups = [_fresh(g) for g in group_catalog.values()]
+        gens = [subgroup_generators(g.full_subgroup()) for g in groups]
         for g, gs in zip(groups, gens):
             assert len(g.generated_subgroup(list(gs))) == g.order
-        monkeypatch.setattr(FiniteGroup, "generated_subgroup",
+        monkeypatch.setattr(FiniteGroup, "_closure",
                             lambda *args: pytest.fail("generating set recomputed"))
-        assert all(_generating_set(g) is gs for g, gs in zip(groups, gens))
+        assert all(subgroup_generators(g.full_subgroup()) is gs
+                   for g, gs in zip(groups, gens))
+
+    def test_each_generator_is_the_least_element_outside_the_span(self, group_catalog):
+        for g in map(_fresh, group_catalog.values()):
+            for h in g.all_subgroups():
+                gens = subgroup_generators(h)
+                for i, x in enumerate(gens):
+                    outside = set(h.elements) - set(generated_oracle(g, gens[:i]))
+                    assert x == min(outside), (g.name, h.elements)
+                assert generated_oracle(g, gens) == h.elements, (g.name, h.elements)
+
+
+class TestCommutatorSubgroup:
+    def test_normal_closure_is_the_brute_force_commutator_subgroup(self, group_catalog):
+        for g in map(_fresh, group_catalog.values()):
+            for h in g.all_subgroups():
+                derived = commutator_subgroup(h)
+                assert derived.elements == commutator_oracle(g, h.elements), g.name
+                # memoised per subgroup: a second handle gets the same object
+                assert commutator_subgroup(Subgroup(g, h.elements)) is derived
+
+
+class TestAbelianQuotientRefusal:
+    def test_s3_modulo_the_trivial_subgroup_is_refused(self):
+        s3 = symmetric(3)
+        with pytest.raises(ValueError, match="^quotient is not abelian$"):
+            abelian_quotient(s3.full_subgroup(), s3.trivial_subgroup())
+        with pytest.raises(ValueError, match="^quotient by the given subgroup is not abelian$"):
+            _coabelian_check(s3.full_subgroup(), s3.trivial_subgroup())
+
+    def test_generator_checks_refuse_exactly_the_non_abelian_quotients(self, group_catalog):
+        refused = 0
+        for g in map(_fresh, group_catalog.values()):
+            subs = g.all_subgroups()
+            for h in subs:
+                for r in subs:
+                    if not (r.is_subgroup_of(h)
+                            and normal_in_oracle(g, r.elements, h.elements)):
+                        continue
+                    if quotient_is_abelian_oracle(g, h.elements, r.elements):
+                        abelian_quotient(h, r)
+                        _coabelian_check(h, r)
+                        continue
+                    refused += 1
+                    with pytest.raises(ValueError, match="^quotient is not abelian$"):
+                        abelian_quotient(h, r)
+                    with pytest.raises(ValueError, match="not abelian$"):
+                        _coabelian_check(h, r)
+        assert refused > 0
 
 
 class TestQuotientGroup:
