@@ -680,18 +680,3 @@ def fixed_subgroup(ambient: FgAbGroup, endos: list[AbHom]) -> SubgroupKey:
             [v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(e.matrix)))
         key = key.meet(minus_one.kernel)
     return key
-
-
-def subgroup_elements(ambient: FgAbGroup, gens: list) -> set:
-    """All elements of a finite subgroup, by closure."""
-    gens = [ambient.reduce(g) for g in gens]
-    seen = {ambient.zero()}
-    frontier = [ambient.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = ambient.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen

@@ -304,7 +304,6 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
 
     spec_data = _object(data.get("spectrum", {"kind": "unramified"}),
                         "spectrum")
-    ur_ext = None  # validate_fnd computes it for a spectrum given by pairs
     if "pairs" in spec_data:
         pairs = spec_data["pairs"]
         if not isinstance(pairs, list):
@@ -321,14 +320,14 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
             ext[k].add(k)
         extension = {k: sorted(v) for k, v in ext.items()}
     elif spec_data.get("kind") == "unramified":
-        extension = ur_ext = unramified_extension(system, datum)
+        extension = unramified_extension(system, datum)
     else:
         raise InputError("spectrum needs 'pairs' or kind 'unramified'")
     spectrum = Spectrum(system, extension)
 
     # validate_fnd runs the urFND on Sp(system, unramified_extension), which
     # runs the valuation check; each verdict is read from the part it nests
-    fnd = validate_fnd(c, vfam, spectrum, datum, ur_ext)
+    fnd = validate_fnd(c, vfam, spectrum, datum)
     ur = fnd.parts["urfnd_on_unramified_subspectrum"]
     report = Report()
     report.nest("valuation_valid", ur.parts["valuation_valid"])
@@ -340,7 +339,7 @@ def run_cft_scenario(args) -> tuple[dict, bool]:
         rsys = commutator_system(system)
         morphism, table_map = upsilon_morphism(
             c, vfam, datum, spectrum, rsys, fnd_validated=True)
-        rv = reduced_verification(morphism, "prime", rsys, class_functor=c)
+        rv = reduced_verification(morphism, "prime", rsys)
         report.nest("upsilon_is_morphism", rv.parts["morphism"])
         report.add("upsilon_all_iso",
                    all(t.is_iso for t in table_map.values()))

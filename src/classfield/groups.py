@@ -126,10 +126,7 @@ class FiniteGroup:
         for i, p in enumerate(elems):
             for j, q in enumerate(elems):
                 table[i][j] = index[tuple(p[q[k]] for k in range(degree))]
-        g = cls(table, name=name, validate=False)
-        g.inverse = g._build_inverses()
-        g._cache["permutations"] = tuple(elems)
-        return g
+        return cls(table, name=name, validate=False)
 
     # -- subgroups -------------------------------------------------------
     def subgroup(self, elements) -> "Subgroup":
@@ -556,21 +553,15 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
     def cmul(a, b):
         return rep_of[p.table[a][b]]
 
-    # greedy generators of the quotient
+    # greedy generators of the quotient: span is R<gens>, a union of R-cosets
+    # as R is normal, so a coset lies in the span of gens in H/R exactly
+    # when its least representative lies in span
     gens: list[int] = []
-    span = {0}
+    span = r.element_set
     for x in reps:
-        if x in span:
-            continue
-        gens.append(x)
-        frontier = list(span)
-        while frontier:
-            y = frontier.pop()
-            z = cmul(y, x)
-            while z not in span:
-                span.add(z)
-                frontier.append(z)
-                z = cmul(z, x)
+        if x not in span:
+            gens.append(x)
+            span = p._closure(span, gens)
     # every rep lies in the span of gens: H/R is abelian iff they commute
     if any(cmul(a, b) != cmul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
         raise ValueError("quotient is not abelian")

@@ -31,7 +31,7 @@ from .groups import (
     FiniteGroup, Subgroup, abelian_quotient, coset_reps, cosets, double_coset_reps,
     left_transversal, subgroup_generators, subgroup_id_to_key, subgroup_key_to_id,
 )
-from .ramification import RamificationDatum, degrees
+from .ramification import RamificationDatum, degrees, inertia_subgroup
 from .report import CheckItem
 from .transfer import AbelianizationSystem, _pretransfers
 
@@ -192,8 +192,6 @@ def system_from_predicate(group: FiniteGroup, edge_ok) -> SubgroupSystem:
 
 def unramified_system(datum: RamificationDatum) -> SubgroupSystem:
     """Res/ind restricted to unramified subgroups (I ⊇ I_H)."""
-    from .ramification import inertia_subgroup
-
     def edge_ok(h, i):
         return set(inertia_subgroup(datum, h).elements) <= i.element_set
 

@@ -9,9 +9,10 @@ an isomorphism over the images of a generating set.
 
 from __future__ import annotations
 
-from classfield.abelian import FgAbGroup
+from classfield.abelian import FgAbGroup, presentation_from_lattice
 from classfield.groups import (
-    FiniteGroup, abelianization, commutator_subgroup, subgroup_generators,
+    CosetCoordinateMap, FiniteGroup, Subgroup, abelianization, commutator_subgroup,
+    cosets, subgroup_generators,
 )
 
 
@@ -43,6 +44,21 @@ def _span(generators, add, zero):
         x = frontier.pop()
         for g in generators:
             y = add(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def subgroup_elements(ambient: FgAbGroup, gens: list) -> set:
+    """All elements of a finite subgroup, by closure."""
+    gens = [ambient.reduce(g) for g in gens]
+    seen = {ambient.zero()}
+    frontier = [ambient.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ambient.add(x, g)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -293,3 +309,72 @@ def quotient_is_abelian_oracle(g: FiniteGroup, h, r) -> bool:
     """Whether h/r is abelian, r normal in h: every commutator lies in r."""
     inside = set(r)
     return all(g.commutator(a, b) in inside for a in h for b in h)
+
+
+def abelian_quotient_oracle(h: Subgroup, r: Subgroup):
+    """H/R in normal form with its coordinate map, as ``groups.abelian_quotient``
+    computed it when it grew the span of its quotient generators coset by
+    coset.  It keeps no memo, so it never answers from the engine's."""
+    p = h.parent
+    if not r.is_subgroup_of(h):
+        raise ValueError("kernel must be contained in the subgroup")
+    if not r.is_normal_in(h):
+        raise ValueError("kernel must be normal in the subgroup")
+    # cosets with min-element representatives
+    t = cosets(h, r)
+    reps, rep_of = t.reps, t.rep_of
+
+    def cmul(a, b):
+        return rep_of[p.table[a][b]]
+
+    # greedy generators of the quotient
+    gens: list[int] = []
+    span = {0}
+    for x in reps:
+        if x in span:
+            continue
+        gens.append(x)
+        frontier = list(span)
+        while frontier:
+            y = frontier.pop()
+            z = cmul(y, x)
+            while z not in span:
+                span.add(z)
+                frontier.append(z)
+                z = cmul(z, x)
+    # every rep lies in the span of gens: H/R is abelian iff they commute
+    if any(cmul(a, b) != cmul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
+        raise ValueError("quotient is not abelian")
+    k = len(gens)
+    # BFS word vectors over the generators; the loop walks the growing list
+    word = {0: (0,) * k}
+    frontier = [0]
+    for x in frontier:
+        for i, g in enumerate(gens):
+            y = cmul(x, g)
+            if y not in word:
+                w = list(word[x])
+                w[i] += 1
+                word[y] = tuple(w)
+                frontier.append(y)
+    # relation lattice of the presentation Z^k -> H/R
+    rel_cols = []
+    seen_rels = set()
+    for x in reps:
+        wx = word[x]
+        for i, g in enumerate(gens):
+            y = cmul(x, g)
+            rel = tuple(wx[j] + (1 if j == i else 0) - word[y][j] for j in range(k))
+            if any(rel) and rel not in seen_rels:
+                seen_rels.add(rel)
+                rel_cols.append(list(rel))
+    group, to_new, from_new = presentation_from_lattice(k, rel_cols)
+    rep_coords = {x: to_new(list(word[x])) for x in reps}
+    coords = {x: rep_coords[rep_of[x]] for x in h.elements}
+    gen_reps = []
+    for rep_vec in from_new:
+        e = 0
+        for g, n in zip(gens, rep_vec):
+            e = p.mul(e, p.power(g, n))
+        gen_reps.append(e)
+    return group, CosetCoordinateMap(h, r, group, coords, tuple(gen_reps))

@@ -17,7 +17,7 @@ from classfield.abelian import (
     _hnf_key, _matmul, AbHom, FgAbGroup, SubgroupKey, element_preimages,
     factor_through, fixed_subgroup, group_order,
     is_injective, is_isomorphism, is_surjective, mat_mul, quotient, smith_decompose, solve_integer, subgroup_contains,
-    subgroup_elements, subgroup_from_generators, subgroup_key,
+    subgroup_from_generators, subgroup_key,
 )
 
 from classfield.catalog import catalog
@@ -28,7 +28,7 @@ from classfield.cft import (
 from classfield.mackey import full_system
 from classfield.transfer import commutator_system
 from conftest import catalog_groups, random_modules
-from oracles import enumerate_value
+from oracles import enumerate_value, subgroup_elements
 
 
 def identity(n):

@@ -368,8 +368,7 @@ class TestAcceptance:
             for mode in ("prime", "prime_power"):
                 if mode == "prime" and c is None:
                     continue
-                report = reduced_verification(theta, mode, rsys,
-                                              class_functor=c)
+                report = reduced_verification(theta, mode, rsys)
                 ok = ok and report.passed
         # 100 seeded defect mutations, each caught by hypothesis validation
         # or by the full check.  A mutation can accidentally compose theta
@@ -403,7 +402,7 @@ class TestAcceptance:
             mutated = FunctorMorphism(theta.source, theta.target, bad)
             mode = "prime" if c is not None else "prime_power"
             hypotheses, reduced, full, agreement = reduced_verification(
-                mutated, mode, rsys, class_functor=c).checks
+                mutated, mode, rsys).checks
             ok = ok and agreement.passed
             if hypotheses.passed and full.passed:
                 ok = ok and reduced.passed  # certified alternative iso

@@ -5,7 +5,7 @@ import pytest
 
 from classfield.abelian import (
     AbHom, FgAbGroup, element_preimage, group_order, identity_matrix, is_injective,
-    is_surjective, subgroup_contains, subgroup_elements,
+    is_isomorphism, is_surjective, subgroup_contains,
 )
 from classfield.catalog import catalog, cyclic, direct_product, symmetric
 from classfield.cft import (
@@ -31,7 +31,7 @@ from conftest import (
     admissible_data, assert_rejected, random_modules, relabeled, without_self_induction,
 )
 from oracles import (
-    classical_tate_oracle, order_multiset, tate_h0_oracle,
+    classical_tate_oracle, order_multiset, subgroup_elements, tate_h0_oracle,
     tate_hminus1_oracle,
 )
 
@@ -447,22 +447,6 @@ class TestTate:
         assert h0.is_trivial()
         assert tate_hminus1(c, gk, gk).is_trivial()
         assert check_class_field_axiom(c, gk, gk)
-
-    def test_cyclic_shortcut_agrees_with_general(self, group_catalog):
-        for name in ("S3", "D4", "C12"):
-            g = group_catalog[name]
-            sys = full_system(g)
-            for module in random_modules(g, seed=5, count=2):
-                c = fixed_point_functor(module, sys)
-                for hkey in sys.points():
-                    h = sys.subgroup(hkey)
-                    for ukey in sys.ind_set(hkey):
-                        u = sys.subgroup(ukey)
-                        if not u.is_normal_in(h):
-                            continue
-                        a = tate_hminus1(c, hkey, ukey, cyclic_shortcut=True)
-                        b = tate_hminus1(c, hkey, ukey, cyclic_shortcut=False)
-                        assert a == b
 
     def test_enumeration_oracle(self, group_catalog):
         for name in ("S3", "D4"):
@@ -997,6 +981,39 @@ class TestReducedVerification:
         for mode in ("prime_power",):
             assert reduced_verification(theta, mode, rsys).passed
 
+    def test_pairs_outside_the_r_pairs_are_not_checked(self):
+        # U = 1 does not hold R(S3) = A3, so (S3, 1) is no R-pair: a zero
+        # component there is no isomorphism, yet neither check reads it
+        s3 = symmetric(3)
+        sys = full_system(s3)
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        taut = tautological_cft(spec, rsys)
+        pair = (tuple(range(6)), (0,))
+        assert pair in spec.points() and pair[1] not in spec.ext_r(pair[0], rsys)
+        components = {p: AbHom.identity(taut.values[p]) for p in spec.points()}
+        components[pair] = components[pair].scaled(0)
+        assert not is_isomorphism(components[pair])
+        theta = FunctorMorphism(taut, taut, components)
+        _, reduced, full, agreement = reduced_verification(
+            theta, "prime_power", rsys).checks
+        assert reduced.passed and full.passed and agreement.passed
+
+    def test_prime_mode_refuses_a_target_without_a_class_functor(self):
+        # the tautological theory records no class functor, so mode 'prime'
+        # has no class field axiom to read
+        s3 = symmetric(3)
+        sys = full_system(s3)
+        spec = Spectrum(sys, full_extension(sys))
+        rsys = commutator_system(sys)
+        taut = tautological_cft(spec, rsys)
+        assert "class_functor" not in taut.meta
+        theta = FunctorMorphism(taut, taut,
+                                {p: AbHom.identity(taut.values[p])
+                                 for p in spec.points()})
+        with pytest.raises(ValueError, match="^mode 'prime' needs the class functor$"):
+            reduced_verification(theta, "prime", rsys)
+
     def test_upsilon_prime_mode(self):
         datum, sys, c, vfam = c4_fixture()
         spec = Spectrum(sys, unramified_extension(sys, datum))
@@ -1020,7 +1037,7 @@ class TestReducedVerification:
         bad[pair] = bad[pair].scaled(2)
         theta = FunctorMorphism(morphism.source, morphism.target, bad)
         hypotheses, reduced, full, agreement = reduced_verification(
-            theta, "prime", rsys, class_functor=c).checks
+            theta, "prime", rsys).checks
         # caught by hypothesis validation or by a check, never silent
         assert (not hypotheses.passed) or (not reduced.passed) \
             or (not full.passed)

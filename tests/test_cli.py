@@ -90,8 +90,9 @@ class TestCftScenarios:
 
 
     def test_one_unramified_spectrum(self, monkeypatch, tmp_path):
-        # the default spectrum is the unramified one, which the FND check
-        # reuses instead of computing, building and validating it again
+        # the default spectrum is the unramified one: the FND check derives
+        # the extension a second time, but runs the urFND on the spectrum
+        # it is given instead of building and validating another
         from classfield import cft, cli
         calls, extensions = [], []
         check = cft.Spectrum._validate_extension
@@ -102,7 +103,7 @@ class TestCftScenarios:
                             lambda *args: extensions.append(1) or extension(*args))
         assert cli.main(["cft", "--input", str(FIXTURES / "c4_unramified.json"),
                          "--out", str(tmp_path / "out.json")]) == 0
-        assert len(calls) == 1 and len(extensions) == 1
+        assert len(calls) == 1 and len(extensions) == 2
 
 
 class TestGroupReport:

@@ -18,8 +18,8 @@ from classfield.groups import (
 from classfield.transfer import _coabelian_check
 
 from oracles import (
-    all_subgroups_oracle, are_isomorphic, commutator_oracle, generated_oracle,
-    normal_in_oracle, quotient_is_abelian_oracle,
+    abelian_quotient_oracle, all_subgroups_oracle, are_isomorphic, commutator_oracle,
+    generated_oracle, normal_in_oracle, quotient_is_abelian_oracle,
 )
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2,
@@ -494,6 +494,35 @@ class TestAbelianQuotientRefusal:
                     with pytest.raises(ValueError, match="not abelian$"):
                         _coabelian_check(h, r)
         assert refused > 0
+
+
+class TestAbelianQuotientOracle:
+    @staticmethod
+    def _outcome(quotient, h, r):
+        """The group, the coordinates of every element of h and the generator
+        representatives, or the refusal text."""
+        try:
+            group, cmap = quotient(h, r)
+        except ValueError as exc:
+            return str(exc)
+        return group, [cmap(x) for x in h.elements], cmap.gen_reps
+
+    def test_coordinates_and_generators_match_the_coset_span_oracle(self, group_catalog):
+        probes = [*group_catalog.values(), direct_product(symmetric(4), cyclic(2)),
+                  alternating(5)]
+        pairs = refused = 0
+        for g in map(_fresh, probes):
+            subs = g.all_subgroups()
+            for h in subs:
+                for r in subs:
+                    if not (r.is_subgroup_of(h) and r.is_normal_in(h)):
+                        continue
+                    want = self._outcome(abelian_quotient_oracle, h, r)
+                    assert self._outcome(abelian_quotient, h, r) == want, (
+                        g.name, h.elements, r.elements)
+                    pairs += 1
+                    refused += isinstance(want, str)
+        assert pairs > refused > 0
 
 
 class TestQuotientGroup:
