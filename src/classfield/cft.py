@@ -23,7 +23,7 @@ from .abelian import (
 from .groups import Subgroup, abelian_quotient, commutator_subgroup, coset_reps, cosets
 from .mackey import (
     FunctorMorphism, NotMackeyCover, RicFunctor, SubgroupSystem,
-    quotient_functor, quotient_table, validate_functor_morphism,
+    omega_functor, quotient_functor, quotient_table, validate_functor_morphism,
 )
 from .ramification import (
     DepthInsufficient, InertiaTrivialHorizon, NoLiftInModel, RamificationDatum,
@@ -227,15 +227,10 @@ def _check_mackey_cover(c: RicFunctor, spectrum: Spectrum):
 def induction_representation(c: RicFunctor, spectrum: Spectrum) -> RicFunctor:
     """H^0-hat representation: (H,U) -> C(H)/ind_{H,U} C(U)."""
     _check_mackey_cover(c, spectrum)
-    lifted = lift_to_spectrum(c, spectrum)
-    sub_gens = {}
-    for pair in spectrum.points():
-        hkey, ukey = pair
-        sub_gens[pair] = c.ind[(hkey, ukey)].image_generators()
-    rep = quotient_functor(lifted, sub_gens)
+    rep = quotient_functor(lift_to_spectrum(c, spectrum),
+                           {pair: c.ind[pair] for pair in spectrum.points()})
     rep.meta["kind"] = "induction_representation"
     rep.meta["class_functor"] = c
-    rep.meta["norm_subgroups"] = sub_gens
     return rep
 
 
@@ -318,7 +313,6 @@ class ValuationFamily:
 
 def validate_valuation(v: ValuationFamily, datum: RamificationDatum) -> Report:
     """Morphism conditions into Omega_d plus the generator condition."""
-    from .mackey import omega_functor
     report = Report()
     c = v.functor
     sys = c.domain
@@ -347,9 +341,8 @@ def induce_valuation_family(v_top: AbHom, c: RicFunctor,
     sys = c.domain
     gkey = tuple(range(sys.group.order))
     components = {}
-    from .ramification import absolute_f
     for hkey in sys.points():
-        f_h = absolute_f(datum, sys.subgroup(hkey))
+        f_h = datum.image_generator(sys.subgroup(hkey))
         composite = v_top.compose(c.ind[(gkey, hkey)])
         entries = [x for row in composite.matrix for x in row]
         image_gen = math.gcd(*entries) if any(entries) else 0
@@ -702,45 +695,32 @@ def upsilon_morphism(c: RicFunctor, v: ValuationFamily,
 # lattice properties and reduction theorems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExtensionAssignment:
-    """Per-pair subgroups Phi(H,U) <= C(H), given by generators."""
-
-    ambient: dict       # hkey -> FgAbGroup
-    subgroups: dict     # (hkey, ukey) -> list of generator vectors
-
-
-def norm_subgroup_assignment(rep: RicFunctor) -> ExtensionAssignment:
-    """Extension assignment of an induction representation."""
+def norm_subgroup_assignment(rep: RicFunctor) -> dict:
+    """Extension assignment of an induction representation: ind_{H,U} C(U)."""
     c = rep.meta["class_functor"]
-    ambient = {}
-    subs = {}
-    for pair in rep.domain.points():
-        ambient[pair[0]] = c.values[pair[0]]
-        subs[pair] = rep.meta["norm_subgroups"][pair]
-    return ExtensionAssignment(ambient, subs)
+    return {pair: c.ind[pair].image for pair in rep.domain.points()}
 
 
-def tautological_assignment(taut: RicFunctor) -> ExtensionAssignment:
+def tautological_assignment(taut: RicFunctor) -> dict:
     """Extension assignment U R(H)/R(H) inside H/R(H)."""
     rsys = taut.meta["system_r"]
     spectrum: Spectrum = taut.domain
-    ambient = {}
     subs = {}
     for pair in spectrum.points():
         hkey, ukey = pair
         # memoised on the group under ("abq", H, R(H))
         value, cmap = abelian_quotient(spectrum.system.subgroup(hkey),
                                        rsys.assignment[hkey])
-        ambient[hkey] = value
-        subs[pair] = [list(cmap(x)) for x in ukey]
-    return ExtensionAssignment(ambient, subs)
+        subs[pair] = subgroup_key(value, [cmap(x) for x in ukey])
+    return subs
 
 
-def lattice_property_check(assignment: ExtensionAssignment, spectrum: Spectrum,
+def lattice_property_check(assignment: dict, spectrum: Spectrum,
                            rsys: AbelianizationSystem,
                            iso: FunctorMorphism | None = None) -> Report:
-    """Monotonicity, product/intersection laws and R-lattice injectivity."""
+    """Monotonicity, product/intersection laws and R-lattice injectivity of
+    an extension assignment: a dict from each pair (H, U) to the
+    ``SubgroupKey`` of Phi(H, U), all of one ambient group per H."""
     report = Report()
     if iso is not None:
         mrep = validate_functor_morphism(iso)
@@ -750,10 +730,9 @@ def lattice_property_check(assignment: ExtensionAssignment, spectrum: Spectrum,
     grp = spectrum.group
     for hkey in spectrum.system.points():
         exts = spectrum.extension[hkey]
-        amb = assignment.ambient[hkey]
-        ext_r = set(map(tuple, spectrum.ext_r(hkey, rsys)))
-        key = {u: subgroup_key(amb, assignment.subgroups[(hkey, u)])
-               for u in exts}
+        key = {u: assignment[(hkey, u)] for u in exts}
+        amb = key[hkey].ambient  # H is in E(H), checked by the spectrum
+        ext_r = set(spectrum.ext_r(hkey, rsys))
         for i, u1 in enumerate(exts):
             k1 = key[u1]
             for j, u2 in enumerate(exts):

@@ -70,9 +70,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def power(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inverse[a], -n

@@ -14,7 +14,7 @@ Built-in functors:
   * abelianization_functor  -- H -> H/R(H), restriction = transfer
   * fixed_point_functor     -- H -> A^H for a G-module A
   * omega_functor           -- constant cyclic value, res = *e, ind = *f
-  * quotient_functor        -- value-wise quotient by a subfunctor
+  * quotient_functor        -- value-wise cokernel of maps spanning a subfunctor
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import add
 
 from .abelian import (
     FgAbGroup, AbHom, _int_rows, _matmul, element_preimages, factor_through,
-    fixed_subgroup, identity_matrix, is_isomorphism, quotient, subgroup_key,
+    fixed_subgroup, identity_matrix, is_isomorphism,
 )
 from .groups import (
     FiniteGroup, Subgroup, abelian_quotient, coset_reps, cosets, double_coset_reps,
@@ -607,20 +607,21 @@ def omega_functor(datum: RamificationDatum, system: SubgroupSystem,
         lambda r, x, rx: AbHom.identity(omega), {"kind": "omega", "datum": datum})
 
 
-def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
-    """Quotient of phi by the subfunctor spanned by sub_gens per point.
+def quotient_functor(phi: RicFunctor, subs: dict) -> RicFunctor:
+    """Quotient of phi by the images of the maps ``subs[x]`` into ``phi.values[x]``.
 
-    ``sub_gens[x]`` lists coordinate vectors generating the subvalue at x;
-    every edge map must preserve the family (checked here against one
-    ``SubgroupKey`` per point, never presented, each distinct (con map, gX)
-    at x once; NotSubfunctor on the first failing edge).  The induced res,
-    ind and con are built on the first read of any of them, each validated
-    then by ``AbHom.from_columns``, once per distinct (map, source, target).
+    Every edge map must preserve the family of images (checked here on the
+    rows of each ``subs[x].image``, which generate it, each distinct (con
+    map, gX) at x once; NotSubfunctor on the first failing edge).  The value
+    and projection at x are ``subs[x].cokernel``, cached on the map.  The
+    induced res, ind and con are built on the first read of any of them, each
+    validated then by ``AbHom.from_columns``, once per distinct (map, source,
+    target).
     """
     dom = phi.domain
-    keys = {x: subgroup_key(phi.values[x], sub_gens.get(x, [])) for x in dom.points()}
+    keys = {x: subs[x].image for x in dom.points()}
     for x in dom.points():
-        gens = sub_gens.get(x, [])
+        gens = keys[x].rows
         for y in dom.res_set(x):
             if not keys[y].contains(*map(phi.res[(y, x)], gens)):
                 raise NotSubfunctor(f"res edge ({y},{x}) escapes subfunctor")
@@ -632,11 +633,11 @@ def quotient_functor(phi: RicFunctor, sub_gens: dict) -> RicFunctor:
                 if not keys[gx].contains(*map(m, gens)):
                     raise NotSubfunctor(f"con edge ({g},{x}) escapes subfunctor")
         for y in dom.ind_set(x):
-            if not keys[x].contains(*map(phi.ind[(x, y)], sub_gens.get(y, []))):
+            if not keys[x].contains(*map(phi.ind[(x, y)], keys[y].rows)):
                 raise NotSubfunctor(f"ind edge ({x},{y}) escapes subfunctor")
     values, projs, lifts = {}, {}, {}
     for x in dom.points():
-        values[x], projs[x] = quotient(phi.values[x], sub_gens.get(x, []))
+        values[x], projs[x] = subs[x].cokernel
         lifts[x] = element_preimages(projs[x], identity_matrix(values[x].rank))
     res, ind, con = dict(phi.res), dict(phi.ind), dict(phi.con)  # the maps checked
 
@@ -659,9 +660,6 @@ class FunctorMorphism:
     source: RicFunctor
     target: RicFunctor
     components: dict
-
-    def component(self, key) -> AbHom:
-        return self.components[key]
 
 
 def validate_functor_morphism(phi: FunctorMorphism) -> CheckItem:
@@ -706,7 +704,9 @@ def _validate_descent_basis(system: SubgroupSystem, basis,
 
     Cofinality (every base group contains a basis member) is needed for
     the adjunction unit but not for the bare colimit, whose finite-level
-    value only sees the minimum; functor_colimit therefore skips it.
+    value only sees the minimum; functor_colimit therefore skips it.  No
+    separate filter-basis check is run: a minimum N0 lies in every a ∩ b
+    and is a member, so a basis with a minimum is a filter basis.
     """
     if not basis:
         raise InvalidDescentBasis("basis is empty")
@@ -715,11 +715,6 @@ def _validate_descent_basis(system: SubgroupSystem, basis,
             raise InvalidDescentBasis(f"{b.elements} is not normal")
         if b.elements not in system:
             raise InvalidDescentBasis(f"{b.elements} not in the system base")
-    for a in basis:
-        for b in basis:
-            if not any(set(c.elements) <= a.element_set & b.element_set
-                       for c in basis):
-                raise InvalidDescentBasis("not a filter basis")
     for key in system.points():
         members = [b for b in basis if b.element_set <= set(key)]
         if require_cofinal and not members:

@@ -90,7 +90,8 @@ class RamificationDatum:
                         validate=False)
 
     def image_generator(self, h: Subgroup) -> int:
-        """gcd generator of d(H) <= Z/m (m itself for the zero subgroup)."""
+        """gcd generator of d(H) <= Z/m (m itself for the zero subgroup),
+        which is f_H = [Z/m : d(H)]."""
         return math.gcd(self.modulus, *(self.d[a] for a in h.elements))
 
     def to_json(self) -> dict:
@@ -122,11 +123,6 @@ def degrees(datum: RamificationDatum, h: Subgroup, k: Subgroup) -> tuple[int, in
     return e, f
 
 
-def absolute_f(datum: RamificationDatum, h: Subgroup) -> int:
-    """f_H = [Z/m : d(H)], equal to the gcd generator of d(H)."""
-    return datum.image_generator(h)
-
-
 def d_horizon(datum: RamificationDatum, h: Subgroup):
     """The map d_H: H -> Z/(m/f_H) as (values per element, modulus).
 
@@ -134,7 +130,7 @@ def d_horizon(datum: RamificationDatum, h: Subgroup):
     divided by f_H, reduced mod m/f_H.  Raises InertiaTrivialHorizon when
     m/f_H = 1, where the finite model carries no information.
     """
-    f_h = absolute_f(datum, h)
+    f_h = datum.image_generator(h)
     if datum.modulus % f_h:
         raise AssertionError("f_H must divide the modulus")
     horizon = datum.modulus // f_h

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .groups import (
-    FiniteGroup, Subgroup, Transversal, check_double_coset_reps, cosets,
-    right_transversal, subgroup_generators, t_remover,
+    FiniteGroup, Subgroup, Transversal, check_double_coset_reps, commutator_subgroup,
+    cosets, right_transversal, subgroup_generators, t_remover,
 )
 from .report import CheckItem
 
@@ -195,7 +195,6 @@ def validate_abelianization_system(candidate: AbelianizationSystem) -> CheckItem
 
 def commutator_system(sys) -> AbelianizationSystem:
     """The commutator-subgroup abelianization system on a subgroup system."""
-    from .groups import commutator_subgroup
     assignment = {}
     for key in sys.points():
         assignment[key] = commutator_subgroup(sys.subgroup(key))

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from classfield import mackey
+from classfield.abelian import AbHom, FgAbGroup
 from classfield.catalog import catalog
 from classfield.groups import abelianization
 from classfield.mackey import SubgroupSystem, permutation_module
@@ -20,6 +21,11 @@ def catalog_groups(max_order=None):
     if max_order is not None:
         out = [g for g in out if g.order <= max_order]
     return out
+
+
+def span(value, gens):
+    """The map Z^len(gens) -> value sending e_j to gens[j]: its image is <gens>."""
+    return AbHom.from_columns(FgAbGroup(len(gens)), value, gens)
 
 
 def relabeled(table, seed):

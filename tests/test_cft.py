@@ -5,7 +5,7 @@ import pytest
 
 from classfield.abelian import (
     AbHom, FgAbGroup, element_preimage, group_order, identity_matrix, is_injective,
-    is_isomorphism, is_surjective, subgroup_contains,
+    is_isomorphism, is_surjective, subgroup_key,
 )
 from classfield.catalog import catalog, cyclic, direct_product, symmetric
 from classfield.cft import (
@@ -20,7 +20,7 @@ from classfield.cft import (
 )
 from classfield.groups import FiniteGroup
 from classfield.mackey import (
-    FunctorMorphism, GModule, NotMackeyCover, NotSubfunctor, fixed_point_functor,
+    FunctorMorphism, GModule, NotMackeyCover, NotSubfunctor, RicFunctor, fixed_point_functor,
     full_system, permutation_module, quotient_functor, sign_module, system_from_predicate,
     trivial_module, unramified_system, validate_functor_morphism, validate_ric_functor,
 )
@@ -28,7 +28,8 @@ from classfield.ramification import RamificationDatum, frobenius_element
 from classfield.transfer import commutator_system
 
 from conftest import (
-    admissible_data, assert_rejected, random_modules, relabeled, without_self_induction,
+    admissible_data, assert_rejected, random_modules, relabeled, span,
+    without_self_induction,
 )
 from oracles import (
     classical_tate_oracle, order_multiset, subgroup_elements, tate_h0_oracle,
@@ -193,7 +194,7 @@ class TestTautological:
         sub = {}
         for pair in spec.points():
             cm = pi.meta["coords"][pair[0]]
-            sub[pair] = [list(cm(x)) for x in pair[1]]
+            sub[pair] = span(lifted.values[pair], [list(cm(x)) for x in pair[1]])
         quot = quotient_functor(lifted, sub)
         assert all(quot.values[p] == taut.values[p] for p in spec.points())
 
@@ -222,6 +223,24 @@ class TestInductionRepresentation:
         assert rep.values[(gk, (0, 2))] == FgAbGroup(0, (2,))
         assert rep.values[(gk, gk)].is_trivial()
         assert validate_ric_functor(rep).passed
+
+    @pytest.mark.parametrize("setup", ["c4_unramified", "C16"])
+    def test_one_cokernel_and_image_per_ind_map(self, setup):
+        # the representation's value, projection and norm subgroup at a pair
+        # are the cokernel and image cached on ind_{H,U}, as tate_h0 reads them
+        if setup == "C16":
+            c = _class_functor("C16")
+            spec = Spectrum(c.domain, full_extension(c.domain))
+        else:
+            datum, sys, c, _ = c4_fixture()
+            spec = Spectrum(sys, unramified_extension(sys, datum))
+        rep = induction_representation(c, spec)
+        assignment = norm_subgroup_assignment(rep)
+        for p in spec.points():
+            value, proj = tate_h0(c, *p)
+            assert rep.values[p] is value
+            assert rep.meta["projections"][p] is proj
+            assert assignment[p] is c.ind[p].image
 
     def test_cover_violation_detected(self):
         datum, sys, c, _ = v4_fixture()
@@ -326,8 +345,9 @@ class TestDeferredInductionRepresentation:
         c = _class_functor("C4")
         spec = Spectrum(c.domain, full_extension(c.domain))
         lifted = lift_to_spectrum(c, spec)
-        sub = {pair: c.ind[pair].image_generators() for pair in spec.points()}
-        sub[((0, 1, 2, 3), (0,))] = [[1]]
+        sub = {pair: c.ind[pair] for pair in spec.points()}
+        top = ((0, 1, 2, 3), (0,))
+        sub[top] = span(lifted.values[top], [[1]])
         with pytest.raises(NotSubfunctor, match=r"res edge \(\(\(0, 2\), \(0,\)\)"):
             quotient_functor(lifted, sub)
 
@@ -368,7 +388,7 @@ class TestConDeduplication:
         c = _class_functor(name)
         spec = Spectrum(c.domain, full_extension(c.domain))
         lifted = lift_to_spectrum(c, spec)
-        sub = {pair: c.ind[pair].image_generators() for pair in spec.points()}
+        sub = {pair: c.ind[pair] for pair in spec.points()}
         grp = spec.group
         planted = None
         for x in spec.points():
@@ -383,7 +403,7 @@ class TestConDeduplication:
                     m = AbHom.from_columns(src, dst, [
                         [int(k == i and col == j) for k in range(dst.rank)]
                         for col in range(src.rank)])
-                    if not subgroup_contains(dst, sub[gx], *map(m, sub[x])):
+                    if not sub[gx].image.contains(*map(m, sub[x].image_generators())):
                         planted = g, x, m
                         break
                 if planted:
@@ -763,6 +783,31 @@ class TestFullUpsilon:
                 assert certify_upsilon_tilde_multiplicative(
                     c, vfam, datum, pair).passed
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_natural_when_ind_images_are_negative(self, n):
+        # trivial Z on Cn twisted by the automorphism -1 of C(G): res from G,
+        # ind into G and v_G change sign, so ind_{G,U} C(U) is spanned by a
+        # negative generator.  Upsilon, in tate_h0's coordinates, must still
+        # be natural into the induction representation.
+        datum, sys, c, vfam = trivial_z_setup(cyclic(n), n, tuple(range(n)))
+        top = sys.points()[-1]
+        sign = {k: -1 if k == top else 1 for k in sys.points()}
+        twisted = RicFunctor(
+            sys, c.values,
+            {(y, x): m.scaled(sign[x] * sign[y]) for (y, x), m in c.res.items()},
+            {(x, y): m.scaled(sign[x] * sign[y]) for (x, y), m in c.ind.items()},
+            c.con)
+        assert validate_ric_functor(twisted).passed
+        v = ValuationFamily(twisted, vfam.omega,
+                            {k: m.scaled(sign[k]) for k, m in vfam.components.items()})
+        spec = Spectrum(sys, full_extension(sys))
+        morphism, tables = upsilon_morphism(twisted, v, datum, spec,
+                                            commutator_system(sys), fnd_validated=True)
+        assert any(g[0] < 0 for p in spec.points()
+                   for g in twisted.ind[p].image_generators())
+        assert validate_functor_morphism(morphism).passed
+        assert all(t.is_iso for t in tables.values())
+
     def test_matches_unramified_tables(self):
         for fixture in (c2_fixture, c4_fixture, v4_fixture):
             datum, sys, c, vfam = fixture()
@@ -809,9 +854,9 @@ class TestLattice:
         assignment = tautological_assignment(taut)
         gk = (0, 1, 2, 3)
         # swap the subgroups assigned to U = <g^2> and U = 1
-        a = assignment.subgroups[(gk, (0, 2))]
-        assignment.subgroups[(gk, (0, 2))] = assignment.subgroups[(gk, (0,))]
-        assignment.subgroups[(gk, (0,))] = a
+        a = assignment[(gk, (0, 2))]
+        assignment[(gk, (0, 2))] = assignment[(gk, (0,))]
+        assignment[(gk, (0,))] = a
         rep = lattice_property_check(assignment, spec, rsys)
         assert not rep.passed
 
@@ -850,7 +895,7 @@ class TestLattice:
         assignment = tautological_assignment(tautological_cft(spec, rsys))
         assert lattice_property_check(assignment, spec, rsys).passed
         for point in target if isinstance(target, list) else [target]:
-            assignment.subgroups[(hkey, point)] = list(assignment.subgroups[(hkey, source)])
+            assignment[(hkey, point)] = assignment[(hkey, source)]
         failure = lattice_property_check(assignment, spec, rsys).first_failure()
         assert (failure.name, failure.witness) == expected
 
@@ -863,10 +908,10 @@ class TestLattice:
         rsys = commutator_system(sys)
         assignment = tautological_assignment(tautological_cft(spec, rsys))
         g12 = tuple(range(12))
-        base = dict(assignment.subgroups)
+        base = dict(assignment)
         for u in spec.extension[g12]:
             uk = c12.generated_subgroup(list(u) + [6]).elements
-            assignment.subgroups[(g12, u)] = base[(g12, uk)]
+            assignment[(g12, u)] = base[(g12, uk)]
         failure = lattice_property_check(assignment, spec, rsys).first_failure()
         # fibres {1, <6>} and {<4>, <2>}: the one met first in sorted order
         assert (failure.name, failure.witness) == (
@@ -881,14 +926,15 @@ class TestLattice:
         for _ in range(40):
             assignment = tautological_assignment(tautological_cft(spec, rsys))
             hkey = rng.choice(sys.points())
-            amb = assignment.ambient[hkey]
+            amb = assignment[(hkey, hkey)].ambient
             exts = spec.extension[hkey]
             if rng.random() < 0.5:  # copy another point's subgroup
-                gens = assignment.subgroups[(hkey, rng.choice(exts))]
-            else:  # or take up to two random elements
+                key = assignment[(hkey, rng.choice(exts))]
+            else:  # or the span of up to two random elements
                 elements = sorted(amb.elements())
-                gens = rng.sample(elements, rng.randint(0, min(2, len(elements))))
-            assignment.subgroups[(hkey, rng.choice(exts))] = list(map(list, gens))
+                key = subgroup_key(amb, rng.sample(
+                    elements, rng.randint(0, min(2, len(elements)))))
+            assignment[(hkey, rng.choice(exts))] = key
             failure = lattice_property_check(assignment, spec, rsys).first_failure()
             got = None if failure is None else (failure.name, failure.witness)
             assert got == ordered_scan(assignment, spec, rsys)
@@ -899,10 +945,9 @@ def ordered_scan(assignment, spectrum, rsys):
     grp = spectrum.group
     for hkey in spectrum.system.points():
         exts = spectrum.extension[hkey]
-        amb = assignment.ambient[hkey]
+        amb = assignment[(hkey, hkey)].ambient
         ext_r = set(map(tuple, spectrum.ext_r(hkey, rsys)))
-        phi = {u: subgroup_elements(amb, assignment.subgroups[(hkey, u)])
-               for u in exts}
+        phi = {u: subgroup_elements(amb, assignment[(hkey, u)].rows) for u in exts}
         for u1 in exts:
             for u2 in exts:
                 if set(u2) <= set(u1) and not phi[u2] <= phi[u1]:

@@ -21,7 +21,7 @@ from classfield.ramification import RamificationDatum
 from classfield.transfer import commutator_system
 
 from conftest import (
-    assert_rejected, catalog_groups, random_modules, system_failure,
+    assert_rejected, catalog_groups, random_modules, span, system_failure,
     without_self_induction,
 )
 
@@ -344,9 +344,10 @@ class TestQuotientFunctor:
             k: [[1 if i == j else 0 for i in range(pi.values[k].rank)]
                 for j in range(pi.values[k].rank)]
             for k in sys.points()}
-        zero = quotient_functor(pi, full_gens)
+        zero = quotient_functor(pi, {k: span(pi.values[k], full_gens[k])
+                                     for k in sys.points()})
         assert all(v.is_trivial() for v in zero.values.values())
-        same = quotient_functor(pi, {k: [] for k in sys.points()})
+        same = quotient_functor(pi, {k: span(pi.values[k], []) for k in sys.points()})
         assert all(same.values[k] == pi.values[k] for k in sys.points())
         assert validate_ric_functor(zero).passed
         assert validate_ric_functor(same).passed
@@ -355,10 +356,10 @@ class TestQuotientFunctor:
         c4 = cyclic(4)
         sys = full_system(c4)
         pi = abelianization_functor(sys, commutator_system(sys))
-        gens = {k: [] for k in sys.points()}
-        gens[(0, 2)] = [[1]]  # Z/2 value not preserved by ind into C4
+        subs = {k: span(pi.values[k], []) for k in sys.points()}
+        subs[(0, 2)] = span(pi.values[(0, 2)], [[1]])  # not preserved by ind into C4
         with pytest.raises(NotSubfunctor):
-            quotient_functor(pi, gens)
+            quotient_functor(pi, subs)
 
 
 class TestDescentAndAdjunction:
@@ -412,6 +413,16 @@ class TestDescentAndAdjunction:
         order2 = next(h for h in s3.all_subgroups() if len(h) == 2)
         with pytest.raises(InvalidDescentBasis):
             functor_colimit(pi, [order2])  # not normal
+
+    def test_basis_without_minimum(self):
+        # the two first subgroups of order 2 of C2 x C2 meet in 1, which is no
+        # member: not a filter basis, and so without a minimum
+        v4 = direct_product(cyclic(2), cyclic(2))
+        sys = full_system(v4)
+        pi = abelianization_functor(sys, commutator_system(sys))
+        basis = [h for h in v4.all_subgroups() if len(h) == 2][:2]
+        with pytest.raises(InvalidDescentBasis, match="filter basis has no minimum"):
+            functor_colimit(pi, basis)
 
     def test_basis_g_only(self):
         c4 = cyclic(4)
