@@ -45,12 +45,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b) -> Matrix:
-    if a and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    return _matmul(a, b, len(b[0]) if b else 0)
-
-
 def _matmul(a, b, ncols: int) -> Matrix:
     """``a @ b`` without shape checks.
 
@@ -441,17 +435,6 @@ class AbHom:
     def image_generators(self) -> list[list[int]]:
         return [[self.matrix[i][j] for i in range(self.codomain.rank)]
                 for j in range(self.domain.rank)]
-
-    def to_json(self) -> dict:
-        return {"domain": self.domain.to_json(),
-                "codomain": self.codomain.to_json(),
-                "matrix": [list(r) for r in self.matrix]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AbHom":
-        return cls(FgAbGroup.from_json(data["domain"]),
-                   FgAbGroup.from_json(data["codomain"]),
-                   _int_rows(data["matrix"]))
 
 
 def _int_rows(matrix) -> tuple[tuple[int, ...], ...]:

@@ -459,11 +459,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--out")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--certify", action="store_true")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name == "group":
             p.add_argument("--subgroup")
+        if name in ("cft", "hrv"):  # cft reads no seed; its callers pass --seed 0
+            p.add_argument("--seed", type=int, default=None)
+        if name == "cft":
+            p.add_argument("--certify", action="store_true")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

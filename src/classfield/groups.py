@@ -179,32 +179,18 @@ class FiniteGroup:
         self._cache["subgroups"] = subs
         return subs
 
-    def center(self) -> "Subgroup":
-        if "center" not in self._cache:
-            z = [a for a in range(self.order)
-                 if all(self.table[a][b] == self.table[b][a] for b in range(self.order))]
-            self._cache["center"] = Subgroup(self, z, validate=False)
-        return self._cache["center"]
-
-    def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(a))
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
-    def to_json(self) -> dict:
-        return {"cayley_table": [list(r) for r in self.table]}
-
     @classmethod
-    def from_json(cls, data: dict, name: str = "G") -> "FiniteGroup":
+    def from_json(cls, data: dict) -> "FiniteGroup":
         if "cayley_table" in data:
             if len(data["cayley_table"]) > MAX_INPUT_ORDER:
                 raise ValueError(f"group order exceeds the maximum {MAX_INPUT_ORDER}")
-            return cls(data["cayley_table"], name=name)
+            return cls(data["cayley_table"])
         if "perm_generators" in data:
             return cls.from_permutations(data["degree"], data["perm_generators"],
-                                         name=name, max_order=MAX_INPUT_ORDER)
+                                         max_order=MAX_INPUT_ORDER)
         raise ValueError("group data needs 'cayley_table' or 'perm_generators'")
 
 
@@ -280,9 +266,6 @@ class Subgroup:
         return Subgroup(self.parent, self.element_set & other.element_set,
                         validate=False)
 
-    def to_json(self) -> dict:
-        return {"elements": list(self.elements)}
-
 
 def subgroup_key_to_id(key) -> str:
     return ",".join(str(x) for x in key)
@@ -332,10 +315,6 @@ class Transversal:
         if len(self.reps) * len(self.subgroup.elements) != ambient_size:
             raise ValueError("representatives do not cover the ambient")
         object.__setattr__(self, "rep_of", rep_of)
-
-    @property
-    def is_unitary(self) -> bool:
-        return 0 in self.reps
 
 
 def _min_reps(elements, block) -> tuple[int, ...]:
@@ -509,28 +488,28 @@ class CosetCoordinateMap:
     """Quotient map from a subgroup onto an abelian quotient in normal form.
 
     ``coords(h)`` gives the canonical coordinates of h*R and ``gen_reps``
-    holds one group element per canonical generator; ``section`` rebuilds
-    a representative from coordinates.
+    holds one group element per canonical generator.
     """
 
-    def __init__(self, subgroup: Subgroup, kernel: Subgroup,
-                 group: FgAbGroup, coords: dict[int, tuple],
-                 gen_reps: tuple[int, ...]):
-        self.subgroup = subgroup
-        self.kernel = kernel
-        self.group = group
+    def __init__(self, coords: dict[int, tuple], gen_reps: tuple[int, ...]):
         self._coords = coords
         self.gen_reps = gen_reps
 
     def __call__(self, h: int) -> tuple[int, ...]:
         return self._coords[h]
 
-    def section(self, vector) -> int:
-        p = self.subgroup.parent
-        out = 0
-        for g, n in zip(self.gen_reps, self.group.reduce(vector)):
-            out = p.mul(out, p.power(g, n))
-        return out
+
+def check_coabelian(h: Subgroup, r: Subgroup) -> None:
+    """Raise unless r is normal in h with h/r abelian; with r normal, h/r is
+    abelian exactly when the commutators of h's generators lie in r."""
+    if not r.is_subgroup_of(h):
+        raise ValueError("kernel must be contained in the subgroup")
+    if not r.is_normal_in(h):
+        raise ValueError("kernel must be normal in the subgroup")
+    p, gens = h.parent, subgroup_generators(h)
+    if any(p.commutator(a, b) not in r.element_set
+           for i, a in enumerate(gens) for b in gens[:i]):
+        raise ValueError("quotient is not abelian")
 
 
 def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordinateMap]:
@@ -539,10 +518,7 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
     key = ("abq", h.elements, r.elements)
     if key in p._cache:
         return p._cache[key]
-    if not r.is_subgroup_of(h):
-        raise ValueError("kernel must be contained in the subgroup")
-    if not r.is_normal_in(h):
-        raise ValueError("kernel must be normal in the subgroup")
+    check_coabelian(h, r)
     # cosets with min-element representatives
     t = cosets(h, r)
     reps, rep_of = t.reps, t.rep_of
@@ -559,9 +535,6 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
         if x not in span:
             gens.append(x)
             span = p._closure(span, gens)
-    # every rep lies in the span of gens: H/R is abelian iff they commute
-    if any(cmul(a, b) != cmul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
-        raise ValueError("quotient is not abelian")
     k = len(gens)
     # BFS word vectors over the generators; the loop walks the growing list
     word = {0: (0,) * k}
@@ -594,7 +567,7 @@ def abelian_quotient(h: Subgroup, r: Subgroup) -> tuple[FgAbGroup, CosetCoordina
         for g, n in zip(gens, rep_vec):
             e = p.mul(e, p.power(g, n))
         gen_reps.append(e)
-    cmap = CosetCoordinateMap(h, r, group, coords, tuple(gen_reps))
+    cmap = CosetCoordinateMap(coords, tuple(gen_reps))
     p._cache[key] = (group, cmap)
     return group, cmap
 

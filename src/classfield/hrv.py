@@ -213,9 +213,6 @@ class LaurentElement:
                               {e: p - c for e, c in self.support.items()},
                               exact=self.exact)
 
-    def sub(self, other: "LaurentElement") -> "LaurentElement":
-        return self.add(other.neg())
-
     def mul(self, other: "LaurentElement") -> "LaurentElement":
         self._same_field(other)
         field = self.field
@@ -291,14 +288,6 @@ def laurent_from_json(data: dict) -> LaurentElement:
            for e, c in support.items()):
         raise ValueError("support terms need integer exponents of the field's rank")
     return LaurentElement(field, support)
-
-
-def laurent_to_json(x: LaurentElement) -> dict:
-    return {"p": x.field.characteristic, "rank": x.field.rank,
-            "window": {"lo": list(x.field.window_lo),
-                       "hi": list(x.field.window_hi)},
-            "support": [{"exp": list(e), "coeff": c}
-                        for e, c in sorted(x.support.items())]}
 
 
 # ---------------------------------------------------------------------------

@@ -213,24 +213,6 @@ class GModule:
         if validate:
             self._validate()
 
-    @classmethod
-    def from_generator_action(cls, group: FiniteGroup,
-                              underlying: FgAbGroup,
-                              gen_action: dict[int, AbHom]) -> "GModule":
-        """Extend an action given on generators to the whole group."""
-        action = {0: AbHom.identity(underlying)}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop(0)
-            for g, m in gen_action.items():
-                y = group.table[x][g]
-                if y not in action:
-                    action[y] = m.compose(action[x])
-                    frontier.append(y)
-        if len(action) != group.order:
-            raise ValueError("generators do not generate the group")
-        return cls(group, underlying, action)
-
     def _validate(self):
         g = self.group
         if set(self.action) != set(range(g.order)):

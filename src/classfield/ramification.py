@@ -84,24 +84,10 @@ class RamificationDatum:
         if not default <= self.primes_p:
             raise ValueError("P must contain every prime of |G| and of m")
 
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.group,
-                        [a for a in range(self.group.order) if self.d[a] == 0],
-                        validate=False)
-
     def image_generator(self, h: Subgroup) -> int:
         """gcd generator of d(H) <= Z/m (m itself for the zero subgroup),
         which is f_H = [Z/m : d(H)]."""
         return math.gcd(self.modulus, *(self.d[a] for a in h.elements))
-
-    def to_json(self) -> dict:
-        return {"group": self.group.to_json(), "modulus": self.modulus,
-                "d": list(self.d), "primes_P": sorted(self.primes_p)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RamificationDatum":
-        return cls(FiniteGroup.from_json(data["group"]), data["modulus"],
-                   tuple(data["d"]), frozenset(data.get("primes_P", ())))
 
 
 def inertia_subgroup(datum: RamificationDatum, h: Subgroup) -> Subgroup:

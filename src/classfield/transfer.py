@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .groups import (
-    FiniteGroup, Subgroup, Transversal, check_double_coset_reps, commutator_subgroup,
-    cosets, right_transversal, subgroup_generators, t_remover,
+    FiniteGroup, Subgroup, Transversal, check_coabelian, check_double_coset_reps,
+    commutator_subgroup, cosets, right_transversal, t_remover,
 )
 from .report import CheckItem
 
@@ -35,19 +35,6 @@ def pretransfer(g: FiniteGroup, h: Subgroup, t: Transversal, x: int) -> int:
     return out
 
 
-def _coabelian_check(h: Subgroup, r: Subgroup):
-    """Raise unless r is normal in h with h/r abelian; with r normal, h/r is
-    abelian exactly when the commutators of h's generators lie in r."""
-    if not r.is_subgroup_of(h):
-        raise ValueError("coabelian subgroup must lie inside the subgroup")
-    if not r.is_normal_in(h):
-        raise ValueError("coabelian subgroup must be normal")
-    p, gens = h.parent, subgroup_generators(h)
-    if any(p.commutator(a, b) not in r.element_set
-           for i, a in enumerate(gens) for b in gens[:i]):
-        raise ValueError("quotient by the given subgroup is not abelian")
-
-
 def _check_transfer_pair(big: Subgroup, h: Subgroup, r_h: Subgroup,
                          r_big: Subgroup) -> None:
     """Raise unless {R_H, R_big} is a transfer inducing pair for H <= big."""
@@ -55,8 +42,8 @@ def _check_transfer_pair(big: Subgroup, h: Subgroup, r_h: Subgroup,
     p = h.parent
     key = ("transfer_pair", big.elements, h.elements, r_h.elements, r_big.elements)
     if key not in p._cache:
-        _coabelian_check(h, r_h)
-        _coabelian_check(big, r_big)
+        check_coabelian(h, r_h)
+        check_coabelian(big, r_big)
         p._cache[key] = all(
             y in r_h.element_set for y in _pretransfers(big, h, r_big.elements))
     if not p._cache[key]:
@@ -116,7 +103,7 @@ def transfer_via_lambda(g: FiniteGroup, h: Subgroup, r_h: Subgroup, x: int,
     The exponents lambda_x(rho) sum to the index [G:H]; the value is the
     product of rho * x^lambda * rho^-1 modulo R_H.
     """
-    _coabelian_check(h, r_h)
+    check_coabelian(h, r_h)
     check_double_coset_reps(g, h, g.generated_subgroup([x]), reps)
     total = 0
     out = 0
@@ -158,7 +145,7 @@ def validate_abelianization_system(candidate: AbelianizationSystem) -> CheckItem
         h = sys.subgroup(key)
         r = candidate.r_of(h)
         try:
-            _coabelian_check(h, r)
+            check_coabelian(h, r)
         except ValueError as exc:
             return fail(key, f"not coabelian: {exc}")
     # (i) conjugation equivariance

@@ -16,6 +16,16 @@ from classfield.groups import (
 )
 
 
+def mat_mul(a, b) -> list[list[int]]:
+    """The product a @ b, entry by entry, so that it shares no code with
+    ``AbHom.compose``; a b with no rows has width 0."""
+    if a and len(a[0]) != len(b):
+        raise ValueError("matrix shape mismatch")
+    width = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(width)]
+            for row in a]
+
+
 def enumerate_value(group: FgAbGroup):
     """All coordinate vectors of a finite value group."""
     assert group.is_finite()
@@ -189,6 +199,12 @@ def classical_tate_oracle(module, h, u):
 # group isomorphism (catalog verification)
 # ---------------------------------------------------------------------------
 
+def center_elements(g: FiniteGroup) -> tuple[int, ...]:
+    """Z(g) as sorted elements: those that commute with every element."""
+    return tuple(a for a in range(g.order)
+                 if all(g.table[a][b] == g.table[b][a] for b in range(g.order)))
+
+
 def _fingerprint(g: FiniteGroup):
     orders = tuple(sorted(g.element_order(a) for a in range(g.order)))
     classes = []
@@ -201,7 +217,7 @@ def _fingerprint(g: FiniteGroup):
         classes.append(len(cls))
     ab, _ = abelianization(g)
     derived = commutator_subgroup(g.full_subgroup())
-    return (g.order, orders, len(g.center()), tuple(sorted(classes)),
+    return (g.order, orders, len(center_elements(g)), tuple(sorted(classes)),
             ab.invariant_factors, len(derived))
 
 
@@ -377,4 +393,4 @@ def abelian_quotient_oracle(h: Subgroup, r: Subgroup):
         for g, n in zip(gens, rep_vec):
             e = p.mul(e, p.power(g, n))
         gen_reps.append(e)
-    return group, CosetCoordinateMap(h, r, group, coords, tuple(gen_reps))
+    return group, CosetCoordinateMap(coords, tuple(gen_reps))

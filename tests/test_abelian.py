@@ -16,7 +16,7 @@ import classfield.abelian as abelian
 from classfield.abelian import (
     _hnf_key, _matmul, AbHom, FgAbGroup, SubgroupKey, element_preimages,
     factor_through, fixed_subgroup, group_order,
-    is_injective, is_isomorphism, is_surjective, mat_mul, quotient, smith_decompose, solve_integer, subgroup_contains,
+    is_injective, is_isomorphism, is_surjective, quotient, smith_decompose, solve_integer, subgroup_contains,
     subgroup_from_generators, subgroup_key,
 )
 
@@ -28,11 +28,18 @@ from classfield.cft import (
 from classfield.mackey import full_system
 from classfield.transfer import commutator_system
 from conftest import catalog_groups, random_modules
-from oracles import enumerate_value, subgroup_elements
+from oracles import enumerate_value, mat_mul, subgroup_elements
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def rebuilt(h):
+    """``AbHom(...)`` of h's value, over copies of its groups and a list matrix."""
+    return AbHom(FgAbGroup(h.domain.free_rank, h.domain.invariant_factors),
+                 FgAbGroup(h.codomain.free_rank, h.codomain.invariant_factors),
+                 [list(r) for r in h.matrix])
 
 
 class TestSmith:
@@ -484,20 +491,18 @@ class TestSolvePerMap:
     # basis with entries up to 10**140 and never finished (hypothesis seeds
     # 5, 10 and 30 of the property above).
     @pytest.mark.parametrize("data", [
-        {"domain": {"free_rank": 2, "invariant_factors": [4, 8, 16]},
-         "codomain": {"free_rank": 1, "invariant_factors": [4, 8]},
-         "matrix": [[3, 2, 3, 2, 1], [0, 3, 2, 4, 4], [0, 0, 0, 0, -1]]},
-        {"domain": {"free_rank": 2, "invariant_factors": [4, 4, 8]},
-         "codomain": {"free_rank": 0, "invariant_factors": [4, 4, 8]},
-         "matrix": [[3, 0, 0, 0, 3], [3, 3, 0, 1, 2], [0, 0, 7, 6, 4]]},
-        {"domain": {"free_rank": 2, "invariant_factors": [4, 8, 16]},
-         "codomain": {"free_rank": 0, "invariant_factors": [4, 8, 16]},
-         "matrix": [[3, 3, 1, 1, 1], [0, 4, 2, 5, 6], [0, 2, 4, 14, 2]]},
+        ((2, (4, 8, 16)), (1, (4, 8)),
+         [[3, 2, 3, 2, 1], [0, 3, 2, 4, 4], [0, 0, 0, 0, -1]]),
+        ((2, (4, 4, 8)), (0, (4, 4, 8)),
+         [[3, 0, 0, 0, 3], [3, 3, 0, 1, 2], [0, 0, 7, 6, 4]]),
+        ((2, (4, 8, 16)), (0, (4, 8, 16)),
+         [[3, 3, 1, 1, 1], [0, 4, 2, 5, 6], [0, 2, 4, 14, 2]]),
     ])
     def test_kernel_presentation_finishes(self, data):
         def stalled(*_):
             raise TimeoutError("the kernel presentation did not finish in 20 s")
-        h = AbHom.from_json(data)
+        domain, codomain, rows = data
+        h = AbHom(FgAbGroup(*domain), FgAbGroup(*codomain), rows)
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.alarm(20)
         try:
@@ -550,8 +555,9 @@ class TestKernelKey:
 
 class TestCachedDerivations:
     """``kernel``, ``image`` and ``cokernel`` are derived once per value and
-    are not fields: an equal map read back from JSON is the same object,
-    with its caches filled, and its ``repr`` and JSON show only the fields."""
+    are not fields: an equal map built again over copies of its groups is the
+    same object, with its caches filled, and its ``repr`` shows only the
+    fields."""
 
     @given(ab_groups(), ab_groups(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -560,12 +566,11 @@ class TestCachedDerivations:
         for name in ("kernel", "image", "cokernel"):
             first = getattr(h, name)
             assert getattr(h, name) is first and name in vars(h)
-        copy = AbHom.from_json(json.loads(json.dumps(h.to_json())))
+        copy = rebuilt(h)
         assert copy is h and copy.cokernel is h.cokernel
         assert h == copy and copy == h and hash(h) == hash(copy)
         assert repr(h) == repr(copy) == (f"AbHom(domain={a!r}, codomain={b!r}, "
                                          f"matrix={h.matrix!r})")
-        assert json.dumps(h.to_json()) == json.dumps(copy.to_json())
         assert h.image == subgroup_key(b, h.image_generators())
         assert h.cokernel == quotient(b, h.image_generators())
 
@@ -611,7 +616,7 @@ class TestOneDecompositionPerMap:
         maps = [emb.compose(AbHom.from_columns(FgAbGroup(2), emb.domain,
                                                [[1] * r, [0] * (r - 1) + [1]])),
                 emb.compose(AbHom.multiplication(emb.domain, 5))]
-        unsolved = AbHom.from_json(json.loads(json.dumps(emb.to_json())))
+        unsolved = rebuilt(emb)
         # the oracle keys, built before any call is counted
         trivial = subgroup_key(emb.domain, [])
         image = subgroup_key(amb, emb.image_generators())
@@ -634,7 +639,6 @@ class TestOneDecompositionPerMap:
         assert emb == unsolved and unsolved == emb
         assert hash(emb) == hash(unsolved)
         assert repr(emb) == repr(unsolved)
-        assert json.dumps(emb.to_json()) == json.dumps(unsolved.to_json())
 
 
 class TestHermiteMemo:
@@ -676,7 +680,6 @@ class TestOneObjectPerValue:
             (built(a, b, f.matrix), lambda: f),
             (f, lambda: AbHom(a, b, tuple(tuple(r) for r in f.matrix))),
             (f, lambda: AbHom.from_columns(a, b, f.image_generators())),
-            (f, lambda: AbHom.from_json(json.loads(json.dumps(f.to_json())))),
             (built(a, a, identity(a.rank)), lambda: AbHom.identity(a)),
             (built(a, b, [[0] * a.rank] * b.rank), lambda: AbHom.zero(a, b)),
             (built(a, a, [[n * v for v in r] for r in identity(a.rank)]),

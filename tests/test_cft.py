@@ -700,7 +700,10 @@ class TestFnd:
         z5 = FgAbGroup(5)
         shift = AbHom(z5, z5, ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 1, 0, 0, 0),
                                (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)))
-        c = fixed_point_functor(GModule.from_generator_action(c4, z5, {1: shift}), sys)
+        powers = [AbHom.identity(z5)]  # k in C4 acts as shift^k
+        for _ in range(3):
+            powers.append(shift.compose(powers[-1]))
+        c = fixed_point_functor(GModule(c4, z5, dict(enumerate(powers))), sys)
         vfam = first_coordinate_family(c)
         spec = Spectrum(sys, unramified_extension(sys, datum))
         assert validate_fnd(c, vfam, spec, datum).passed

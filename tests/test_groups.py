@@ -10,16 +10,15 @@ from classfield.catalog import (
 )
 from classfield.groups import (
     FiniteGroup, InvalidReps, Subgroup, Transversal,
-    abelian_quotient, abelianization, coset_reps, cosets,
+    abelian_quotient, abelianization, check_coabelian, coset_reps, cosets,
     double_coset_reps, double_coset_of, left_transversal, lift_double_coset_transversal,
     commutator_subgroup, quotient_group, right_transversal, subgroup_generators,
     t_permutation, t_remover,
 )
-from classfield.transfer import _coabelian_check
 
 from oracles import (
-    abelian_quotient_oracle, all_subgroups_oracle, are_isomorphic, commutator_oracle,
-    generated_oracle, normal_in_oracle, quotient_is_abelian_oracle,
+    abelian_quotient_oracle, all_subgroups_oracle, are_isomorphic, center_elements,
+    commutator_oracle, generated_oracle, normal_in_oracle, quotient_is_abelian_oracle,
 )
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2,
@@ -429,12 +428,6 @@ class TestAbelianization:
                 for b in range(g.order):
                     assert cmap(g.table[a][b]) == ab.add(cmap(a), cmap(b))
 
-    def test_section_inverts_coords(self):
-        g = symmetric(4)
-        ab, cmap = abelianization(g)
-        for vec in ab.elements():
-            assert cmap(cmap.section(vec)) == vec
-
 
 class TestGeneratingSet:
     def test_generates_the_group_and_is_computed_once(self, group_catalog, monkeypatch):
@@ -470,10 +463,9 @@ class TestCommutatorSubgroup:
 class TestAbelianQuotientRefusal:
     def test_s3_modulo_the_trivial_subgroup_is_refused(self):
         s3 = symmetric(3)
-        with pytest.raises(ValueError, match="^quotient is not abelian$"):
-            abelian_quotient(s3.full_subgroup(), s3.trivial_subgroup())
-        with pytest.raises(ValueError, match="^quotient by the given subgroup is not abelian$"):
-            _coabelian_check(s3.full_subgroup(), s3.trivial_subgroup())
+        for check in (abelian_quotient, check_coabelian):
+            with pytest.raises(ValueError, match="^quotient is not abelian$"):
+                check(s3.full_subgroup(), s3.trivial_subgroup())
 
     def test_generator_checks_refuse_exactly_the_non_abelian_quotients(self, group_catalog):
         refused = 0
@@ -486,13 +478,13 @@ class TestAbelianQuotientRefusal:
                         continue
                     if quotient_is_abelian_oracle(g, h.elements, r.elements):
                         abelian_quotient(h, r)
-                        _coabelian_check(h, r)
+                        check_coabelian(h, r)
                         continue
                     refused += 1
                     with pytest.raises(ValueError, match="^quotient is not abelian$"):
                         abelian_quotient(h, r)
-                    with pytest.raises(ValueError, match="not abelian$"):
-                        _coabelian_check(h, r)
+                    with pytest.raises(ValueError, match="^quotient is not abelian$"):
+                        check_coabelian(h, r)
         assert refused > 0
 
 
@@ -528,10 +520,11 @@ class TestAbelianQuotientOracle:
 class TestQuotientGroup:
     def test_v4_quotient_of_d4(self):
         d4 = dihedral(4)
-        center = d4.center()
+        center = Subgroup(d4, center_elements(d4))
         q, proj = quotient_group(d4, center)
         assert q.order == 4
-        assert q.is_abelian()
+        assert all(q.table[a][b] == q.table[b][a]
+                   for a in range(q.order) for b in range(a))
 
     def test_projection_is_homomorphism(self):
         g = symmetric(4)
@@ -591,7 +584,7 @@ class TestCompositionLaws:
             g = group_catalog[name]
             for h in g.all_subgroups():
                 t = right_transversal(g, h)
-                assert t.is_unitary
+                assert 0 in t.reps
                 for a in h.elements:
                     for x in range(g.order):
                         assert t_remover(t, g.mul(a, x)) == \
@@ -626,5 +619,5 @@ class TestGroupSerialization:
 
     def test_cayley_roundtrip(self):
         g = dicyclic(2)
-        again = FiniteGroup.from_json(g.to_json())
+        again = FiniteGroup.from_json({"cayley_table": [list(r) for r in g.table]})
         assert again.table == g.table

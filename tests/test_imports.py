@@ -1,10 +1,12 @@
-"""What each CLI run loads, and the package's lazy exports.
+"""What each CLI run loads, the package's lazy exports, and the
+definitions in ``src/`` that nothing in ``src/`` calls.
 
 Every CLI run starts a fresh interpreter that compiles the modules it
 imports, so the set of ``classfield`` modules a subcommand loads is a
 machine-independent measure of its start-up cost.
 """
 
+import ast
 import importlib
 import json
 import subprocess
@@ -15,7 +17,8 @@ import pytest
 
 import classfield
 
-FIXTURES = Path(__file__).parent.parent / "src" / "classfield" / "fixtures"
+SRC = Path(__file__).parent.parent / "src" / "classfield"
+FIXTURES = SRC / "fixtures"
 
 GROUP = {"classfield", "classfield.cli", "classfield.abelian",
          "classfield.groups", "classfield.transfer", "classfield.report"}
@@ -91,3 +94,68 @@ class TestLazyExports:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             classfield.nope
+
+
+PAPER, BENCH, WRITER = "paper object", "bench entry point", "tables writer"
+
+# Definitions that no code in src/ refers to, each with why it stays: a
+# paper object that tests check, a function that bench/ calls, or the
+# writer of the CLI's functor tables input.
+KEPT_UNCALLED = {
+    "abelian.solve_integer": BENCH,
+    "cft.check_hilbert90": PAPER,
+    "cft.induce_valuation_family": PAPER,
+    "cft.lattice_property_check": PAPER,
+    "cft.norm_subgroup_assignment": PAPER,
+    "cft.tautological_assignment": PAPER,
+    "cft.unramified_upsilon": PAPER,
+    "groups.lift_double_coset_transversal": PAPER,
+    "groups.t_permutation": PAPER,
+    "mackey.SubgroupSystem.is_arithmetic": PAPER,
+    "mackey.adjunction_maps": PAPER,
+    "mackey.check_galois_descent": PAPER,
+    "mackey.functor_to_json": WRITER,
+    "ramification.SupernaturalNumber.divides": PAPER,
+    "ramification.SupernaturalNumber.from_int": PAPER,
+    "ramification.SupernaturalNumber.p_part": PAPER,
+    "ramification.power_subgroup": PAPER,
+    "transfer.transfer_between": PAPER,
+    "transfer.transfer_via_lambda": PAPER,
+    "transfer.trivial_system": PAPER,
+    "transfer.validate_abelianization_system": PAPER,
+}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def uncalled_definitions() -> set[str]:
+    """Module-level functions and classes, and methods, of ``src/classfield``
+    whose name no ``ast.Name`` or ``ast.Attribute`` in those files spells;
+    an import alone does not count.  Dunders are called by Python itself."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    spelled = {node.id if isinstance(node, ast.Name) else node.attr
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute))}
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef))
+    return {qual for qual, name in defs.items()
+            if not _dunder(name) and name not in spelled}
+
+
+class TestNoUncalledDefinitions:
+    def test_every_uncalled_definition_is_kept_on_purpose(self):
+        """A definition that only its own tests call belongs in ``tests/``.
+
+        Blind spots: a name counts as called once anything in ``src/``
+        spells it, so the scan misses a method whose name another class or
+        attribute uses (such as ``to_json``), and a function that only
+        calls itself."""
+        assert uncalled_definitions() == set(KEPT_UNCALLED)

@@ -307,14 +307,6 @@ class TestGModule:
             GModule(c2, z, {0: AbHom.identity(z),
                             1: AbHom.multiplication(z, 2)})
 
-    def test_from_generator_action(self):
-        c4 = cyclic(4)
-        z5 = FgAbGroup(0, (5,))
-        m = GModule.from_generator_action(c4, z5,
-                                          {1: AbHom.multiplication(z5, 2)})
-        assert m.action[2] == AbHom.multiplication(z5, 4)
-        assert m.action[3] == AbHom.multiplication(z5, 3)
-
 
 class TestOmegaFunctor:
     def test_injective_d_gives_identity_res(self):

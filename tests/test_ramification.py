@@ -38,11 +38,6 @@ class TestDatumValidation:
             RamificationDatum(cyclic(4), 4, (0, 1, 2, 3),
                               primes_p=frozenset({3}))
 
-    def test_json_roundtrip(self):
-        d = c4_datum()
-        again = RamificationDatum.from_json(d.to_json())
-        assert again.d == d.d and again.modulus == d.modulus
-
 
 class TestInertiaAndDegrees:
     def test_injective_d_trivial_inertia(self):
